@@ -35,7 +35,6 @@ print(data)
 # The summary holds one row per (algorithm, value): means over repetitions.
 print(summary)
 
-# With timing off the whole thing is reproducible to the byte, threads or no
-# threads.
-again, again_summary = run_sweep(spec, base, threads=2)
+# With timing off the whole thing is reproducible to the byte.
+again, again_summary = run_sweep(spec, base)
 print("byte identical rerun:", (data, summary) == (again, again_summary))

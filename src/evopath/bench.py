@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -165,7 +164,7 @@ def parse_config(path: str) -> dict[str, str]:
 
 _KNOWN_KEYS = frozenset(
     [
-        "algorithm", "seed", "threads", "timing",
+        "algorithm", "seed", "timing",
         "eval.episodes",
         "map.file", "map.width", "map.height", "map.density",
         "map.starts", "map.goals", "map.seed",
@@ -223,7 +222,6 @@ class ExperimentConfig:
     params: EGTParams | LearnParams | None
     eval_episodes: int = 100
     seed: int = 0
-    threads: int = 1
     timing: str = "wall"
 
     def __post_init__(self) -> None:
@@ -231,8 +229,6 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         if self.eval_episodes < 0:
             raise ConfigError("eval.episodes must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.timing not in ("wall", "off"):
             raise ConfigError("timing must be 'wall' or 'off'")
         want = {"egt": EGTParams, "mc": LearnParams, "qlearn": LearnParams}.get(self.algorithm)
@@ -346,7 +342,6 @@ def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
         params=params,
         eval_episodes=_get(kv, "eval.episodes", _int, 100),
         seed=seed,
-        threads=_get(kv, "threads", _int, 1),
         timing=kv.get("timing", "wall"),
     )
 
@@ -559,30 +554,20 @@ def _run_cell(
 def run_sweep(
     spec: SweepSpec,
     base: Mapping[str, str],
-    threads: int | None = None,
 ) -> tuple[str, str]:
     """Run every sweep cell; returns (data CSV text, summary CSV text).
 
     Cell failures become rows with an error status; the sweep keeps going.
-    With threads=1 and a fixed master seed the output is byte-stable.
+    With a fixed master seed and timing off the output is byte-stable.
     """
     _check_keys(base)
-    if threads is None:
-        threads = int(base.get("threads", "1"))
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     jobs = [
         (algo, value, rep)
         for algo in spec.algorithms
         for value in spec.values
         for rep in range(spec.reps)
     ]
-    if threads == 1:
-        outcomes = [_run_cell(base, spec, a, v, r) for a, v, r in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_cell, base, spec, a, v, r) for a, v, r in jobs]
-            outcomes = [f.result() for f in futures]
+    outcomes = [_run_cell(base, spec, a, v, r) for a, v, r in jobs]
 
     paired = sorted(
         zip(jobs, outcomes), key=lambda jr: (jr[0][0], jr[0][1], jr[0][2])

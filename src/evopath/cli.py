@@ -2,7 +2,7 @@
 
 Subcommands: gen-map, train, eval, sweep-grid, sweep-agents, ess-test. Every
 subcommand reads a key=value config (--config) and accepts targeted overrides
-(--seed, --threads, --out). Exit code 0 on success; failures print one
+(--seed, --out). Exit code 0 on success; failures print one
 machine-readable "error: <Type>: <message>" line to stderr and exit nonzero.
 """
 from __future__ import annotations
@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, help="key=value config file")
         s.add_argument("--seed", type=int, default=None, help="override the master seed")
-        s.add_argument("--threads", type=int, default=None, help="override the thread count")
         s.add_argument("--out", default=None, help="output file path")
     return parser
 
@@ -52,8 +51,6 @@ def _load_kv(args) -> dict[str, str]:
     kv = parse_config(args.config)
     if args.seed is not None:
         kv["seed"] = str(args.seed)
-    if args.threads is not None:
-        kv["threads"] = str(args.threads)
     return kv
 
 
@@ -128,8 +125,7 @@ def _cmd_sweep(args, axis: str) -> int:
     out = args.out if args.out is not None else spec.out
     if out is None:
         raise ConfigError("an output path is required (--out or sweep.out)")
-    threads = args.threads if args.threads is not None else None
-    rows, summary = run_sweep(spec, kv, threads)
+    rows, summary = run_sweep(spec, kv)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(rows)
     spath = _summary_path(out)

@@ -7,6 +7,11 @@ decrement them. Normalizing the positive counters per cell yields a policy.
 Training can either keep a uniform random behavior policy throughout
 ("faithful" mode) or periodically rebuild the behavior policy from the
 counters ("iterative" mode, the default).
+
+Training, the invasion test's extra episodes and its fitness evaluation all
+run on one batched kernel that advances every live (episode, agent) pair one
+tick at a time under a fixed behavior policy; train() documents its
+per-episode draw layout and its tick rule.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -378,268 +383,176 @@ def apply_update(
 # -- training ----------------------------------------------------------------
 
 _BATCH = 512
+# bound on a batch's draw, trajectory and occupancy buffers
+_BATCH_BYTES = 48_000_000
 
 
-def _run_episodes_batched(
-    grid: GridMap,
-    world: WorldConfig,
-    params: EGTParams,
-    table: CounterTable,
-    behavior: Policy,
-    rng: np.random.Generator,
-    n_episodes: int,
-    stats: TrainingStats,
-) -> None:
-    """Single-agent episodes stepped in lockstep across a batch.
-
-    Episode randomness comes from per-episode child generators (drawn in
-    episode order), so the result is bit-identical to running the episodes
-    one at a time with the same behavior policy.
-    """
-    T = world.horizon
-    noise = world.action_noise
-    perm, target = grid._perm_target
-    padded, counts = grid._perm_choices
-    goal = grid._goal_mask
-    cdf4 = behavior._cdf[:, :4]
+def _spawn_batches(
+    rng: np.random.Generator, n_episodes: int, world: WorldConfig, grid: GridMap
+) -> Iterator[list[np.random.Generator]]:
+    """Yield per-episode child generators, spawned from rng in episode order."""
+    # per agent-tick: an 8-byte action uniform, a 4-byte cell and a 1-byte
+    # action, plus two 8-byte noise draws; per episode a 4-byte owner grid
+    per_episode = world.n_agents * world.horizon * 13 + 4 * grid.n_cells
+    if world.action_noise > 0.0:
+        per_episode += world.n_agents * world.horizon * 16
+    size = max(8, min(_BATCH, _BATCH_BYTES // per_episode))
     done = 0
     while done < n_episodes:
-        B = min(_BATCH, n_episodes - done)
-        children = rng.spawn(B)
-        init = np.empty(B, dtype=np.int64)
-        U = np.empty((B, T))
-        UN = UP = None
-        if noise > 0.0:
-            UN = np.empty((B, T))
-            UP = np.empty((B, T))
-        for j, r in enumerate(children):
-            init[j] = _sample_initial_ids(grid, 1, r)[0]
-            U[j] = r.random((T, 1)).reshape(-1)
-            if noise > 0.0:
-                UN[j] = r.random((T, 1)).reshape(-1)
-                UP[j] = r.random((T, 1)).reshape(-1)
-        cells = init.copy()
-        S = np.zeros((B, T), dtype=np.int32)
-        A = np.zeros((B, T), dtype=np.int8)
-        steps = np.zeros(B, dtype=np.int64)
-        reached = goal[cells].copy()
-        live = np.flatnonzero(~reached)
-        for t in range(T):
-            if live.size == 0:
-                break
-            c = cells[live]
-            u = U[live, t]
-            a = (cdf4[c] < u[:, None]).sum(axis=1)
-            if noise > 0.0:
-                fire = UN[live, t] < noise
-                if fire.any():
-                    cf = c[fire]
-                    k = (UP[live, t][fire] * counts[cf]).astype(np.int64)
-                    a[fire] = padded[cf, k]
-            ok = perm[c, a]
-            nxt = np.where(ok, target[c, a], c)
-            S[live, t] = c
-            A[live, t] = a
-            cells[live] = nxt
-            steps[live] = t + 1
-            arrived = goal[nxt]
-            if arrived.any():
-                reached[live[arrived]] = True
-                live = live[~arrived]
-        for j in range(B):
-            L = int(steps[j])
-            if L == 0:
-                continue  # started on a goal: nothing to submit
-            _apply_update_ids(
-                table, S[j, :L], A[j, :L], int(cells[j]),
-                bool(reached[j]), params, children[j], stats,
-            )
-        stats.episodes_run += B
-        stats.goal_reach_count += int(reached.sum())
+        B = min(size, n_episodes - done)
+        yield rng.spawn(B)
         done += B
 
 
-def _run_episode(
+@dataclass
+class _Episodes:
+    """A batch of finished episodes, one entry per (episode, agent) pair.
+
+    Pair p = b * n_agents + i is agent i of episode b. Per pair: start and
+    final cell, ticks recorded, and the tick it reached a goal (the horizon
+    if it never did). S and A hold the cell and action of every recorded
+    tick, shape (pairs, horizon).
+    """
+
+    first: np.ndarray
+    cells: np.ndarray
+    steps: np.ndarray
+    arrival: np.ndarray
+    S: np.ndarray
+    A: np.ndarray
+
+
+def _run_episodes(
     grid: GridMap,
     world: WorldConfig,
-    params: EGTParams,
-    table: CounterTable,
     behavior: Policy,
-    rng: np.random.Generator,
-    stats: TrainingStats,
-) -> None:
-    """One multi-agent training episode with sequential conflict resolution."""
+    children: Sequence[np.random.Generator],
+) -> _Episodes:
+    """Run one episode per child generator under a fixed behavior policy.
+
+    Draws each child's block up front and then advances every live
+    (episode, agent) pair one tick at a time; the draw layout and the tick
+    rule are the ones documented in train().
+    """
     T = world.horizon
     N = world.n_agents
     noise = world.action_noise
-    perm = grid._perm_list
-    target = grid._target_list
-    goal = grid._goal_list
+    B = len(children)
+    P = B * N
+    # an impermissible move targets the agent's own cell
+    _, target = grid._perm_target
     padded, counts = grid._perm_choices
-    padded_l = padded.tolist()
-    counts_l = counts.tolist()
-    cdf = behavior._cdf.tolist()
+    goal = grid._goal_mask
+    cdf4 = behavior._cdf[:, :4]
 
-    ids = [int(v) for v in _sample_initial_ids(grid, N, rng)]
-    U = rng.random((T, N)).tolist()
-    UN = UP = None
+    # (T, N) blocks per child: action uniforms, then with noise coins and picks
+    first = np.empty(P, dtype=np.int64)
+    draws = np.empty((3 if noise > 0.0 else 1, T, B, N))
+    for j, r in enumerate(children):
+        first[j * N:(j + 1) * N] = _sample_initial_ids(grid, N, r)
+        draws[:, :, j] = r.random((len(draws), T, N))
+    U = draws[0].reshape(T, P)
     if noise > 0.0:
-        UN = rng.random((T, N)).tolist()
-        UP = rng.random((T, N)).tolist()
-    occupied = set(ids)
-    active = [not goal[c] for c in ids]
-    reached = [goal[c] for c in ids]
-    s_tr: list[list[int]] = [[] for _ in range(N)]
-    a_tr: list[list[int]] = [[] for _ in range(N)]
-    n_active = sum(active)
+        UN = draws[1].reshape(T, P)
+        UP = draws[2].reshape(T, P)
+
+    cells = first.copy()
+    S = np.zeros((P, T), dtype=np.int32)
+    A = np.zeros((P, T), dtype=np.int8)
+    steps = np.zeros(P, dtype=np.int64)
+    arrival = np.full(P, T, dtype=np.int64)
+    live = np.flatnonzero(~goal[cells])
+    if N > 1:
+        # owner[b * n_cells + cell]: index of the agent on that cell, or -1
+        agent = np.tile(np.arange(N), B)
+        offset = np.repeat(np.arange(B) * grid.n_cells, N)
+        owner = np.full(B * grid.n_cells, -1, dtype=np.int32)
+        owner[offset + first] = agent
     for t in range(T):
-        if n_active == 0:
+        if live.size == 0:
             break
-        Ut = U[t]
-        for i in range(N):
-            if not active[i]:
-                continue
-            cur = ids[i]
-            u = Ut[i]
-            row = cdf[cur]
-            a = (row[0] < u) + (row[1] < u) + (row[2] < u) + (row[3] < u)
-            if noise > 0.0 and UN[t][i] < noise:
-                a = padded_l[cur][int(UP[t][i] * counts_l[cur])]
-            s_tr[i].append(cur)
-            a_tr[i].append(a)
-            if perm[cur][a]:
-                tgt = target[cur][a]
-                if tgt != cur and tgt not in occupied:
-                    occupied.discard(cur)
-                    occupied.add(tgt)
-                    ids[i] = tgt
-            if goal[ids[i]]:
-                active[i] = False
-                reached[i] = True
-                n_active -= 1
-                _apply_update_ids(table, s_tr[i], a_tr[i], ids[i], True, params, rng, stats)
-    for i in range(N):
-        if active[i]:
-            _apply_update_ids(table, s_tr[i], a_tr[i], ids[i], False, params, rng, stats)
-    stats.episodes_run += 1
-    stats.goal_reach_count += sum(reached)
+        c = cells[live]
+        u = U[t, live]
+        a = (cdf4[c] < u[:, None]).sum(axis=1)
+        if noise > 0.0:
+            fire = UN[t, live] < noise
+            if fire.any():
+                cf = c[fire]
+                k = (UP[t, live][fire] * counts[cf]).astype(np.int64)
+                a[fire] = padded[cf, k]
+        S[live, t] = c
+        A[live, t] = a
+        steps[live] = t + 1
+        tgt = target[c, a]
+        if N > 1:
+            i = agent[live]
+            off = offset[live]
+            dest = off + tgt
+            occ = owner[dest]
+            # eligible: a real move into an empty cell or one held by a
+            # lower-index agent; only the lowest eligible claimant of a cell
+            # can enter it
+            elig = np.flatnonzero((tgt != c) & (occ < i))
+            _, lowest = np.unique(dest[elig], return_index=True)
+            win = elig[lowest]
+            go = occ[win] < 0
+            # a held target frees up only if its occupant moves; occupants
+            # have lower indices, so this settles within N rounds
+            wait = np.flatnonzero(~go)
+            if wait.size:
+                moved = np.zeros(P, dtype=bool)
+                moved[live[win[go]]] = True
+                dep = live[win[wait]] - i[win[wait]] + occ[win[wait]]
+                while wait.size:
+                    hit = moved[dep]
+                    if not hit.any():
+                        break
+                    go[wait[hit]] = True
+                    moved[live[win[wait[hit]]]] = True
+                    wait, dep = wait[~hit], dep[~hit]
+            mv = win[go]
+            owner[off[mv] + c[mv]] = -1
+            owner[dest[mv]] = i[mv]
+            nxt = c.copy()
+            nxt[mv] = tgt[mv]
+            tgt = nxt
+        cells[live] = tgt
+        arrived = goal[tgt]
+        if arrived.any():
+            arrival[live[arrived]] = t
+            live = live[~arrived]
+    return _Episodes(first, cells, steps, arrival, S, A)
 
 
-def _run_episodes_looped(
+def _train_episodes(
     grid: GridMap,
     world: WorldConfig,
     params: EGTParams,
     table: CounterTable,
     behavior: Policy,
-    rng: np.random.Generator,
-    n_episodes: int,
+    children: Sequence[np.random.Generator],
     stats: TrainingStats,
 ) -> None:
-    done = 0
-    while done < n_episodes:
-        B = min(_BATCH, n_episodes - done)
-        for r in rng.spawn(B):
-            _run_episode(grid, world, params, table, behavior, r, stats)
-        done += B
+    """Run a batch of training episodes and submit every trajectory.
 
-
-def _multi_batch_size(n_agents: int, horizon: int, n_cells: int) -> int:
-    # bound the per-batch trajectory buffers to roughly 48 MB
-    per_episode = n_agents * horizon * 5 + n_cells + 1
-    return max(8, min(512, 48_000_000 // per_episode))
-
-
-def _run_episodes_multi(
-    grid: GridMap,
-    world: WorldConfig,
-    params: EGTParams,
-    table: CounterTable,
-    behavior: Policy,
-    rng: np.random.Generator,
-    n_episodes: int,
-    stats: TrainingStats,
-) -> None:
-    """Noise-free multi-agent episodes stepped in lockstep across a batch.
-
-    Each episode keeps its own child stream (initial draw, then one row of
-    action uniforms per tick, then update draws), and within a tick agents
-    resolve in ascending index order against a per-episode occupancy mask, so
-    the outcome is bit-identical to running _run_episode per episode.
+    Submissions go in (episode, arrival tick, agent) order; pairs that never
+    arrive count as arriving at the horizon, and pairs with no steps (started
+    on a goal) submit nothing.
     """
-    T = world.horizon
     N = world.n_agents
-    perm, target = grid._perm_target
-    goal = grid._goal_mask
-    cdf4 = behavior._cdf[:, :4]
-    n = grid.n_cells
-    done = 0
-    while done < n_episodes:
-        B = min(_multi_batch_size(N, T, n), n_episodes - done)
-        children = rng.spawn(B)
-        cells = np.empty((B, N), dtype=np.int64)
-        for j, r in enumerate(children):
-            cells[j] = _sample_initial_ids(grid, N, r)
-        occ = np.zeros((B, n), dtype=bool)
-        occ[np.arange(B)[:, None], cells] = True
-        reached = goal[cells].copy()
-        active = ~reached
-        S = np.zeros((B, N, T), dtype=np.int32)
-        A = np.zeros((B, N, T), dtype=np.int8)
-        steps = np.zeros((B, N), dtype=np.int64)
-        arrival = np.full((B, N), T, dtype=np.int64)
-        ticks_done = 0
-        for t in range(T):
-            if not active.any():
-                break
-            U = np.empty((B, N))
-            for j, r in enumerate(children):
-                U[j] = r.random(N)
-            ticks_done = t + 1
-            for i in range(N):
-                idx = np.flatnonzero(active[:, i])
-                if idx.size == 0:
-                    continue
-                c = cells[idx, i]
-                u = U[idx, i]
-                a = (cdf4[c] < u[:, None]).sum(axis=1)
-                S[idx, i, t] = c
-                A[idx, i, t] = a
-                steps[idx, i] = t + 1
-                ok = perm[c, a]
-                tgt = np.where(ok, target[c, a], c)
-                go = (tgt != c) & ~occ[idx, tgt]
-                gi = idx[go]
-                occ[gi, c[go]] = False
-                occ[gi, tgt[go]] = True
-                nxt = np.where(go, tgt, c)
-                cells[idx, i] = nxt
-                arr = goal[nxt]
-                if arr.any():
-                    ai = idx[arr]
-                    reached[ai, i] = True
-                    active[ai, i] = False
-                    arrival[ai, i] = t
-        if ticks_done < T:
-            leftover = (T - ticks_done) * N
-            for r in children:
-                r.random(leftover)
-        for j in range(B):
-            order = [
-                (int(arrival[j, i]), i, True)
-                for i in range(N)
-                if reached[j, i] and steps[j, i] > 0
-            ]
-            order.sort()
-            order.extend((T, i, False) for i in range(N) if active[j, i])
-            for _tick, i, ok_flag in order:
-                L = int(steps[j, i])
-                _apply_update_ids(
-                    table, S[j, i, :L], A[j, i, :L], int(cells[j, i]),
-                    ok_flag, params, children[j], stats,
-                )
-        stats.episodes_run += B
-        stats.goal_reach_count += int(reached.sum())
-        done += B
+    T = world.horizon
+    ep = _run_episodes(grid, world, behavior, children)
+    p = np.flatnonzero(ep.steps > 0)
+    p = p[np.argsort(p // N * (T + 1) + ep.arrival[p], kind="stable")]
+    reached = grid._goal_mask[ep.cells]
+    for q in p.tolist():
+        L = int(ep.steps[q])
+        _apply_update_ids(
+            table, ep.S[q, :L], ep.A[q, :L], int(ep.cells[q]),
+            bool(reached[q]), params, children[q // N], stats,
+        )
+    stats.episodes_run += len(children)
+    stats.goal_reach_count += int(reached.sum())
 
 
 def train(
@@ -652,22 +565,31 @@ def train(
     """Evolve a counter table over episodes and return (policy, table, stats).
 
     The learner is reward-free; reward_cfg is accepted for interface parity
-    with the tabular learners and is not consulted. Each episode owns a child
-    generator spawned from rng in episode order, so a fixed seed reproduces
-    the run exactly. Agents that reach a goal submit their trajectory
-    immediately and freeze in place; the rest submit at the episode end.
+    with the tabular learners and is not consulted.
+
+    Draw layout. Each episode owns a child generator spawned from rng in
+    episode order, so a fixed seed reproduces the run exactly. A child draws,
+    in this order: the start cells of all N agents; a (T, N) block of action
+    uniforms; with action noise, a (T, N) block of noise coins and then a
+    (T, N) block of noise picks; then one acceptance draw per submitted
+    goal-reaching trajectory, in submission order. In ess_test's extra
+    episodes every child first draws its invader coin.
+
+    Tick rule. Agent i samples its action from the behavior row of its cell
+    at the start of the tick (noise coin below action_noise: a uniform pick
+    among the cell's permissible actions instead). Agents then move in
+    ascending index order: a move into a cell that is occupied at the
+    agent's turn is blocked, which also blocks both ends of a swap. An agent
+    that reaches a goal freezes there and keeps blocking its cell. Within an
+    episode trajectories are submitted by arrival tick, ties by agent index;
+    agents still out at the horizon submit last, in index order, and agents
+    that start on a goal submit nothing.
     """
     del reward_cfg
     t0 = time.perf_counter()
     table = CounterTable(grid)
     stats = TrainingStats()
     uniform = Policy.uniform(grid)
-    if world.n_agents == 1:
-        run = _run_episodes_batched
-    elif world.action_noise == 0.0:
-        run = _run_episodes_multi
-    else:
-        run = _run_episodes_looped
     e = 0
     while e < params.episodes:
         if params.behavior_mode == "iterative":
@@ -676,7 +598,8 @@ def train(
         else:
             behavior = uniform
             chunk = params.episodes - e
-        run(grid, world, params, table, behavior, rng, chunk, stats)
+        for children in _spawn_batches(rng, chunk, world, grid):
+            _train_episodes(grid, world, params, table, behavior, children, stats)
         e += chunk
     policy = construct_policy(table, params.epsilon, grid)
     stats.wall_time = time.perf_counter() - t0
@@ -700,58 +623,14 @@ def _evaluate_fitness(
     -inf.
     """
     T = world.horizon
-    N = world.n_agents
-    noise = world.action_noise
-    perm = grid._perm_list
-    target = grid._target_list
-    goal = grid._goal_list
-    padded, counts = grid._perm_choices
-    padded_l = padded.tolist()
-    counts_l = counts.tolist()
-    cdf = policy._cdf.tolist()
+    w = grid.width
     total = 0.0
-    count = 0
-    for r in rng.spawn(episodes):
-        ids = [int(v) for v in _sample_initial_ids(grid, N, r)]
-        first = ids.copy()
-        U = r.random((T, N)).tolist()
-        UN = UP = None
-        if noise > 0.0:
-            UN = r.random((T, N)).tolist()
-            UP = r.random((T, N)).tolist()
-        occupied = set(ids)
-        active = [not goal[c] for c in ids]
-        n_steps = [0] * N
-        n_active = sum(active)
-        for t in range(T):
-            if n_active == 0:
-                break
-            Ut = U[t]
-            for i in range(N):
-                if not active[i]:
-                    continue
-                cur = ids[i]
-                u = Ut[i]
-                row = cdf[cur]
-                a = (row[0] < u) + (row[1] < u) + (row[2] < u) + (row[3] < u)
-                if noise > 0.0 and UN[t][i] < noise:
-                    a = padded_l[cur][int(UP[t][i] * counts_l[cur])]
-                n_steps[i] += 1
-                if perm[cur][a]:
-                    tgt = target[cur][a]
-                    if tgt != cur and tgt not in occupied:
-                        occupied.discard(cur)
-                        occupied.add(tgt)
-                        ids[i] = tgt
-                if goal[ids[i]]:
-                    active[i] = False
-                    n_active -= 1
-        w = grid.width
-        for i in range(N):
-            d = abs(first[i] % w - ids[i] % w) + abs(first[i] // w - ids[i] // w)
-            total += -min(_stretch(n_steps[i], d), float(T))
-            count += 1
-    return total / count if count else -1.0
+    for children in _spawn_batches(rng, episodes, world, grid):
+        ep = _run_episodes(grid, world, policy, children)
+        d = np.abs(ep.first % w - ep.cells % w) + np.abs(ep.first // w - ep.cells // w)
+        for n_steps, dist in zip(ep.steps.tolist(), d.tolist()):
+            total += -min(_stretch(n_steps, dist), float(T))
+    return total / (episodes * world.n_agents)
 
 
 @dataclass(frozen=True)
@@ -790,8 +669,10 @@ def ess_test(
     """Train, then continue training under an invading behavior policy.
 
     During the extra episodes each episode's behavior is the invader
-    (uniform random unless one is supplied) with probability p_new, else the
-    trained policy; counter updates keep flowing. The trained policy is an
+    (uniform random unless one is supplied) with probability p_new, decided
+    by the first draw of the episode's generator, else the trained policy;
+    counter updates keep flowing. Fitness is evaluated over eval_episodes
+    (at least 1) episodes of the same kernel, without updates. The trained policy is an
     equilibrium for the report when its greedy map barely changes and the
     re-evaluated fitness did not drop by more than fitness_tolerance.
     """
@@ -799,6 +680,8 @@ def ess_test(
         raise ValueError("p_new must lie in [0, 1]")
     if extra_episode_fraction < 0.0:
         raise ValueError("extra_episode_fraction must be >= 0")
+    if eval_episodes < 1:
+        raise ValueError("eval_episodes must be >= 1")
     policy, table, _ = train(grid, world, params, reward_cfg, rng)
     before = greedy_action_map(table)
     fit_before = _evaluate_fitness(grid, world, policy, rng, eval_episodes)
@@ -806,13 +689,12 @@ def ess_test(
     extra = int(round(extra_episode_fraction * params.episodes))
     stats = TrainingStats()
     inv = invader if invader is not None else Policy.uniform(grid)
-    done = 0
-    while done < extra:
-        B = min(_BATCH, extra - done)
-        for r in rng.spawn(B):
-            behavior = inv if r.random() < p_new else policy
-            _run_episode(grid, world, params, table, behavior, r, stats)
-        done += B
+    for children in _spawn_batches(rng, extra, world, grid):
+        invaded = [r.random() < p_new for r in children]
+        for behavior, flag in ((inv, True), (policy, False)):
+            group = [r for r, f in zip(children, invaded) if f == flag]
+            if group:
+                _train_episodes(grid, world, params, table, behavior, group, stats)
 
     final_policy = construct_policy(table, params.epsilon, grid)
     after = greedy_action_map(table)

@@ -3,14 +3,19 @@
 Everything here is deliberately naive: plain BFS over dicts, exhaustive
 double loops, exact fractions. The point is an implementation path disjoint
 from the package internals so that agreement between the two means something.
+The counter-learner episode reference shares only the public start sampler
+and update rule with the package; it steps each agent in a plain loop.
 
 Cells are (x, y) tuples. Action codes follow the package's fixed order
 0=up 1=down 2=left 3=right 4=stay with up decreasing y; the deltas are
 restated here on purpose rather than imported.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 DELTAS = {0: (0, -1), 1: (0, 1), 2: (-1, 0), 3: (1, 0), 4: (0, 0)}
 
@@ -271,3 +276,95 @@ def min_hazard_distance(positions, width, height, obstacles, others=None):
                 if best is None or d < best:
                     best = d
     return best
+
+
+def reference_episode(grid, world, behavior, rng):
+    """One counter-learner episode, agent by agent in index order.
+
+    Takes the package's per-episode draws from rng, in its documented order:
+    start cells (through the public sample_initial), a (T, N) block of action
+    uniforms and, with noise, a (T, N) block of coins then one of picks. An
+    action is the number of the first four cumulative behavior probabilities
+    below the uniform; a noisy pick indexes the cell's permissible actions in
+    ascending order. Moves resolve against a set of occupied cells; an agent
+    on a goal freezes and keeps its cell.
+
+    Returns (trajectories, order): per agent (steps, final cell, reached),
+    steps being (cell, action) pairs, and the agents in submission order:
+    goal arrivals by tick then index, then agents still out by index.
+    Agents that start on a goal have no steps and do not submit.
+    """
+    from evopath.gridworld import sample_initial
+
+    T, N, noise = world.horizon, world.n_agents, world.action_noise
+    w, h, obstacles, goals = grid.width, grid.height, grid.obstacles, grid.goals
+    cells = sample_initial(grid, N, rng)
+    U = rng.random((T, N)).tolist()
+    if noise > 0.0:
+        coins = rng.random((T, N)).tolist()
+        picks = rng.random((T, N)).tolist()
+    occupied = set(cells)
+    done = [c in goals for c in cells]
+    steps = [[] for _ in range(N)]
+    order = []
+    for t in range(T):
+        for i in range(N):
+            if done[i]:
+                continue
+            cur = cells[i]
+            cdf = np.cumsum(behavior.probs_at(cur)).tolist()
+            a = sum(cdf[k] < U[t][i] for k in range(4))
+            if noise > 0.0 and coins[t][i] < noise:
+                allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
+                a = allowed[int(picks[t][i] * len(allowed))]
+            steps[i].append((cur, a))
+            nxt, blocked = transition(cur, a, w, h, obstacles)
+            if not blocked and nxt not in occupied:
+                occupied.remove(cur)
+                occupied.add(nxt)
+                cells[i] = nxt
+            if cells[i] in goals:
+                done[i] = True
+                order.append(i)
+    order += [i for i in range(N) if not done[i]]
+    return [(steps[i], cells[i], cells[i] in goals) for i in range(N)], order
+
+
+def reference_train(grid, world, params, table, behavior, children):
+    """Run reference_episode per child and submit with apply_update.
+
+    Each trajectory goes to the public apply_update in submission order,
+    drawing its acceptance from the episode's child. Returns
+    (episodes, accepted submissions, agents on a goal at the end).
+    """
+    from evopath.egt import Trajectory, apply_update
+    from evopath.gridworld import Action
+
+    updates = reached = 0
+    for r in children:
+        trajectories, order = reference_episode(grid, world, behavior, r)
+        for i in order:
+            steps, final, ok = trajectories[i]
+            tau = Trajectory([(c, Action(a)) for c, a in steps], final, ok)
+            updates += apply_update(table, tau, params, r)[0]
+        reached += sum(ok for _, _, ok in trajectories)
+    return len(children), updates, reached
+
+
+def reference_fitness(grid, world, policy, rng, episodes):
+    """Mean over episodes and agents of -min(stretch, T), summed in that order.
+
+    Stretch is steps over the Manhattan distance from the first to the final
+    cell: 1 with no steps, +inf when back on the first cell.
+    """
+    total = 0.0
+    for r in rng.spawn(episodes):
+        for steps, final, _ in reference_episode(grid, world, policy, r)[0]:
+            if not steps:
+                stretch = 1.0
+            else:
+                first = steps[0][0]
+                d = abs(first[0] - final[0]) + abs(first[1] - final[1])
+                stretch = len(steps) / d if d else math.inf
+            total += -min(stretch, float(world.horizon))
+    return total / (episodes * world.n_agents)

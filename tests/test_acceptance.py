@@ -119,6 +119,7 @@ C4_GRID_ARGS = (20, 20, 0.2, None, 4, 134)
 C4_EPISODES = 640_000
 
 
+@pytest.mark.slow
 def test_criterion_4_counter_learner_reaches_goals_near_optimally():
     grid = gen_map(*C4_GRID_ARGS)
     world = WorldConfig(n_agents=1, horizon=default_horizon(20, 20))
@@ -144,6 +145,7 @@ def test_criterion_4_counter_learner_reaches_goals_near_optimally():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_counter_updates_undercut_mc_by_an_order_of_magnitude():
     grid = gen_map(50, 50, 0.2, None, 25, 7)
     world = WorldConfig(n_agents=1, horizon=default_horizon(50, 50))
@@ -158,6 +160,7 @@ def test_criterion_5_counter_updates_undercut_mc_by_an_order_of_magnitude():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_trained_policy_resists_invasion():
     grid = gen_map(*C4_GRID_ARGS)
     world = WorldConfig(n_agents=1, horizon=default_horizon(20, 20))
@@ -308,6 +311,7 @@ def _summary_cells(summary: str):
     return cells
 
 
+@pytest.mark.slow
 def test_criterion_9_scaling_trends():
     base_grid = parse_config_text(
         "algorithm=egt\nseed=11\ntiming=off\nmap.density=0.2\nmap.goals=1\n"

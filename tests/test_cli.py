@@ -128,14 +128,6 @@ def test_sweep_grid_writes_data_and_summary(cfg_file, tmp_path, capsys):
     assert summary.read_text().startswith("algorithm,axis,axis_value,n_ok,")
 
 
-def test_sweep_threads_override_keeps_bytes_identical(cfg_file, tmp_path):
-    cfg = cfg_file(SWEEP_CFG)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["sweep-grid", "--config", cfg, "--out", str(a)])
-    main(["sweep-grid", "--config", cfg, "--out", str(b), "--threads", "2"])
-    assert a.read_text() == b.read_text()
-
-
 def test_sweep_out_key_supplies_the_path(cfg_file, tmp_path, capsys):
     out = tmp_path / "cfg_out.csv"
     cfg = cfg_file(SWEEP_CFG + f"sweep.out={out}\n")

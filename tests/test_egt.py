@@ -20,9 +20,8 @@ from evopath.egt import (
     greedy_action_map,
     success_update_probability,
     train,
-    _run_episodes_batched,
-    _run_episodes_looped,
-    _run_episodes_multi,
+    _evaluate_fitness,
+    _train_episodes,
 )
 from evopath.gridworld import (
     Action,
@@ -31,7 +30,13 @@ from evopath.gridworld import (
     WorldConfig,
     parse_map,
 )
-from oracles import bfs_distance, greedy_path_length
+from evopath.bench import GenerationError, gen_map
+from oracles import (
+    bfs_distance,
+    greedy_path_length,
+    reference_fitness,
+    reference_train,
+)
 
 UP, DOWN, LEFT, RIGHT, STAY = Action
 
@@ -487,36 +492,70 @@ def test_faithful_mode_differs_from_iterative():
     assert out["faithful"] != out["iterative"]
 
 
-def _run_path(fn, grid, world, n_episodes, seed):
+def _kernel_vs_reference(grid, world, n_episodes, seed, behavior=None, params=EGTParams()):
+    behavior = behavior or Policy.uniform(grid)
     table = CounterTable(grid)
     stats = TrainingStats()
-    fn(grid, world, EGTParams(), table, Policy.uniform(grid),
-       np.random.default_rng(seed), n_episodes, stats)
-    return table.to_text(), stats.episodes_run, stats.policy_updates, stats.goal_reach_count
+    _train_episodes(grid, world, params, table, behavior,
+                    np.random.default_rng(seed).spawn(n_episodes), stats)
+    ref_table = CounterTable(grid)
+    ref = reference_train(grid, world, params, ref_table, behavior,
+                          np.random.default_rng(seed).spawn(n_episodes))
+    got = (stats.episodes_run, stats.policy_updates, stats.goal_reach_count)
+    return (table.to_text(), got), (ref_table.to_text(), ref)
 
 
 def test_batched_single_agent_path_matches_reference_loop():
     grid = parse_map(WALLED)
     world = WorldConfig(n_agents=1, horizon=30)
-    assert _run_path(_run_episodes_batched, grid, world, 100, 3) == _run_path(
-        _run_episodes_looped, grid, world, 100, 3
-    )
+    got, ref = _kernel_vs_reference(grid, world, 100, 3)
+    assert got == ref
 
 
 def test_batched_path_matches_reference_loop_under_noise():
     grid = parse_map(WALLED)
     world = WorldConfig(n_agents=1, horizon=30, action_noise=0.25)
-    assert _run_path(_run_episodes_batched, grid, world, 100, 3) == _run_path(
-        _run_episodes_looped, grid, world, 100, 3
-    )
+    got, ref = _kernel_vs_reference(grid, world, 100, 3)
+    assert got == ref
 
 
 def test_multi_agent_path_matches_reference_loop():
     grid = parse_map(WALLED)
-    world = WorldConfig(n_agents=3, horizon=30)
-    assert _run_path(_run_episodes_multi, grid, world, 100, 3) == _run_path(
-        _run_episodes_looped, grid, world, 100, 3
-    )
+    for n_agents, noise in ((3, 0.0), (4, 0.3)):
+        world = WorldConfig(n_agents=n_agents, horizon=30, action_noise=noise)
+        got, ref = _kernel_vs_reference(grid, world, 100, 3)
+        assert got == ref
+
+
+def test_kernel_matches_reference_on_crowded_fuzzed_maps():
+    # small boards packed with up to 16 agents under skewed random behaviors,
+    # so chains of moves, swaps and frozen blockers all occur
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 50:
+        w, h = (int(v) for v in rng.integers(3, 9, size=2))
+        try:
+            grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+        except GenerationError:
+            continue
+        n_agents = int(rng.integers(2, min(16, len(grid.starts)) + 1))
+        noise = float(rng.choice([0.0, 0.3, 1.0]))
+        world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
+                            action_noise=noise)
+        behavior = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
+        params = EGTParams(beta=float(rng.choice([1.0, 2.0])))
+        got, ref = _kernel_vs_reference(grid, world, 8, int(rng.integers(1 << 30)), behavior, params)
+        assert got == ref, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
+        checked += 1
+
+
+def test_evaluate_fitness_matches_reference():
+    grid = parse_map(WALLED)
+    for n_agents, noise in ((1, 0.0), (3, 0.25)):
+        world = WorldConfig(n_agents=n_agents, horizon=30, action_noise=noise)
+        policy = Policy(grid, np.random.default_rng(n_agents).dirichlet(np.ones(5), grid.n_cells))
+        got = _evaluate_fitness(grid, world, policy, np.random.default_rng(6), 40)
+        assert got == reference_fitness(grid, world, policy, np.random.default_rng(6), 40)
 
 
 # -- invasion test -------------------------------------------------------------
@@ -531,6 +570,36 @@ def test_ess_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ess_test(grid, world, EGTParams(episodes=10), RewardConfig(), 0.1, -0.1,
                  np.random.default_rng(0))
+    for eval_episodes in (0, -3):
+        with pytest.raises(ValueError):
+            ess_test(grid, world, EGTParams(episodes=10), RewardConfig(), 0.1, 0.1,
+                     np.random.default_rng(0), eval_episodes=eval_episodes)
+
+
+def test_ess_with_invader_matches_reference():
+    # the same invasion replayed with the reference episode loop: each extra
+    # episode's child draws its invader coin, then runs its episode
+    grid = parse_map(WALLED)
+    world = WorldConfig(n_agents=2, horizon=30, action_noise=0.1)
+    params = EGTParams(episodes=200, reconstruct_interval=50)
+    invader = Policy(grid, np.random.default_rng(8).dirichlet(np.ones(5), grid.n_cells))
+    report = ess_test(grid, world, params, RewardConfig(), 0.5, 0.5,
+                      np.random.default_rng(4), eval_episodes=20, invader=invader)
+
+    rng = np.random.default_rng(4)
+    policy, table, _ = train(grid, world, params, RewardConfig(), rng)
+    before = greedy_action_map(table)
+    fit_before = reference_fitness(grid, world, policy, rng, 20)
+    for r in rng.spawn(100):
+        behavior = invader if r.random() < 0.5 else policy
+        reference_train(grid, world, params, table, behavior, [r])
+    after = greedy_action_map(table)
+    fit_after = reference_fitness(grid, world, construct_policy(table, params.epsilon, grid), rng, 20)
+    common = sorted(set(before) & set(after))
+    agreement = sum(before[c] == after[c] for c in common) / len(common)
+    assert report.extra_episodes == 100
+    assert (report.fitness_before, report.fitness_after) == (fit_before, fit_after)
+    assert (report.argmax_agreement, report.states_compared) == (agreement, len(common))
 
 
 def test_ess_without_perturbation_keeps_greedy_map():
