@@ -1,14 +1,25 @@
 #!/usr/bin/env python3
-"""Print a fingerprint of every seeded counter-learner output.
+"""Print a fingerprint of every seeded episode-engine output.
 
     python3 scripts/engine_fingerprint.py > fingerprint.txt
 
 Run it on two revisions and diff the outputs: any change to the episode
-engine's draws, tick rule or update order shows up as a differing line. It
-covers train (policy text, table text, TrainingStats counts) and ess_test
-reports for N in {1, 3, 10}, noise in {0, 0.1, 0.25}, both behavior modes,
-ESS with and without an invader, and the sweep CSVs of
-configs/agent_sweep.cfg with timing=off. Takes a few minutes on one core.
+engines' draws, tick rule or update order shows up as a differing line. It
+covers:
+
+- train (policy text, table text, TrainingStats counts) and ess_test
+  reports for N in {1, 3, 10}, noise in {0, 0.1, 0.25}, both behavior
+  modes, ESS with and without an invader;
+- rollout records (trajectories, returns, min distances) for N in
+  {1, 2, 5, 10}, noise in {0, 0.3}, uniform and Dirichlet policies;
+- step outcomes on crowded boards with random frozen flags, noise in
+  {0, 0.3, 1.0};
+- q_train and mc_train tables (raw values) and stats for N in {1, 3, 5},
+  noise in {0, 0.25};
+- the sweep CSVs of configs/agent_sweep.cfg, and of a noisy sweep over all
+  four algorithms, with timing=off.
+
+Takes a few minutes on one core.
 """
 from __future__ import annotations
 
@@ -21,7 +32,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 from evopath import (  # noqa: E402
-    EGTParams, Policy, RewardConfig, WorldConfig, ess_test, gen_map, train,
+    EGTParams, LearnParams, Policy, RewardConfig, WorldConfig, ess_test, gen_map,
+    mc_train, q_train, rollout, step, train,
 )
 from evopath.bench import parse_config_text, run_sweep, sweep_from_config  # noqa: E402
 
@@ -30,8 +42,79 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+NOISY_SWEEP = """
+seed = 5
+timing = off
+sweep.axis = n_agents
+sweep.values = 1, 3, 6
+sweep.algorithms = astar, egt, mc, qlearn
+sweep.reps = 2
+map.width = 10
+map.height = 10
+map.density = 0.2
+map.goals = 2
+world.noise = 0.2
+egt.episodes = 60
+learn.episodes = 80
+eval.episodes = 6
+"""
+
+
+def fingerprint_rollouts(rewards: RewardConfig) -> None:
+    for n_agents in (1, 2, 5, 10):
+        grid = gen_map(12, 12, 0.2, None, 3, 200 + n_agents)
+        probs = np.random.default_rng(n_agents).dirichlet(np.ones(5), grid.n_cells)
+        for noise in (0.0, 0.3):
+            world = WorldConfig(n_agents=n_agents, horizon=40, action_noise=noise)
+            for name, policy in (("uniform", Policy.uniform(grid)),
+                                 ("dirichlet", Policy(grid, probs))):
+                rng = np.random.default_rng(17)
+                text = "".join(repr(rollout(grid, world, rewards, policy, rng)) for _ in range(30))
+                print(f"rollout N={n_agents} noise={noise} {name}: {digest(text)} next {rng.random()!r}")
+
+
+def fingerprint_steps() -> None:
+    rng = np.random.default_rng(23)
+    for noise in (0.0, 0.3, 1.0):
+        parts = []
+        for k in range(200):
+            grid = gen_map(6, 6, 0.25, None, 2, 300 + k)
+            cells = grid.free_cells()
+            n = int(rng.integers(1, min(8, len(cells)) + 1))
+            pick = rng.permutation(len(cells))[:n]
+            starts = [cells[j] for j in pick]
+            actions = rng.integers(0, 5, n).tolist()
+            frozen = (rng.random(n) < 0.3).tolist()
+            out = step(grid, starts, actions, rng, action_noise=noise, frozen=frozen)
+            parts.append(repr(out))
+        print(f"step noise={noise}: {digest(''.join(parts))} next {rng.random()!r}")
+
+
+def fingerprint_learners(rewards: RewardConfig) -> None:
+    for n_agents in (1, 3, 5):
+        grid = gen_map(10, 10, 0.2, None, 2, 400 + n_agents)
+        for noise in (0.0, 0.25):
+            world = WorldConfig(n_agents=n_agents, horizon=30, action_noise=noise)
+            params = LearnParams(episodes=200)
+            for name, learner in (("q", q_train), ("mc", mc_train)):
+                table, policy, stats = learner(grid, world, rewards, params, np.random.default_rng(3))
+                print(
+                    f"{name}_train N={n_agents} noise={noise}: values "
+                    f"{hashlib.sha256(table._values.tobytes()).hexdigest()[:16]} "
+                    f"policy {digest(policy.to_text())} episodes {stats.episodes_run} "
+                    f"updates {stats.policy_updates} reached {stats.goal_reach_count}"
+                )
+
+
 def main() -> None:
     rewards = RewardConfig()
+    fingerprint_rollouts(rewards)
+    fingerprint_steps()
+    fingerprint_learners(rewards)
+    base = parse_config_text(NOISY_SWEEP)
+    data, summary = run_sweep(sweep_from_config(base), base)
+    print(f"noisy_sweep data {digest(data)} summary {digest(summary)}")
+    print(data, end="")
     for n_agents in (1, 3, 10):
         for noise in (0.0, 0.1, 0.25):
             grid = gen_map(12, 12, 0.2, None, 3, 100 + n_agents)

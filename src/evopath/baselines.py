@@ -12,6 +12,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
+    _play,
     _sample_initial_ids,
     action_from_name,
     action_name,
@@ -359,14 +361,52 @@ def epsilon_greedy_policy(q: QTable, epsilon: float) -> Policy:
     return Policy(q.grid, probs)
 
 
-def _greedy(row: list[float]) -> int:
-    best = 0
-    bv = row[0]
-    for a in range(1, N_ACTIONS):
-        if row[a] > bv:
-            bv = row[a]
-            best = a
-    return best
+def _train_tabular(
+    grid: GridMap,
+    world: WorldConfig,
+    params: LearnParams,
+    rng: np.random.Generator,
+    values: list[list[float]],
+    record: Callable[[int, int, int, int, bool], None],
+    fold: Callable[[], int] | None = None,
+) -> tuple[QTable, Policy, TrainingStats]:
+    """Episode loop shared by q_train and mc_train.
+
+    Each episode spawns one child of rng, samples its start cells from it and
+    runs `gridworld._play` with epsilon-greedy behavior on values: an acting
+    agent draws its exploration coin, then one more uniform for a random
+    action when exploring, or else takes the first largest value of its
+    cell's row. record(i, cell, action, next_cell, blocked_by_map) sees every
+    turn. fold(), when given, runs after each episode and returns its update
+    count; without it every turn counts as one update.
+    """
+    t0 = time.perf_counter()
+    stats = TrainingStats()
+    goal = grid._goal_list
+    for e in range(params.episodes):
+        if params.time_budget_s is not None and time.perf_counter() - t0 > params.time_budget_s:
+            break
+        eps = params.epsilon_at(e)
+        r = rng.spawn(1)[0]
+        rand = r.random
+
+        def choose(_i: int, cur: int) -> int:
+            if rand() < eps:
+                return min(int(rand() * N_ACTIONS), N_ACTIONS - 1)
+            row = values[cur]
+            return row.index(max(row))
+
+        ids = [int(v) for v in _sample_initial_ids(grid, world.n_agents, r)]
+        turns = _play(grid, ids, [not goal[c] for c in ids], world.horizon,
+                      world.action_noise, r, choose, record)
+        stats.policy_updates += turns if fold is None else fold()
+        stats.episodes_run += 1
+        stats.goal_reach_count += sum(goal[c] for c in ids)
+
+    table = QTable(grid, np.array(values))
+    policy = epsilon_greedy_policy(table, params.explore_end)
+    stats.wall_time = time.perf_counter() - t0
+    return table, policy, stats
 
 
 def q_train(
@@ -383,79 +423,25 @@ def q_train(
     and bootstrap as 0. The returned Policy is the epsilon-greedy extraction
     at explore_end. The update targets the executed action (after any action
     noise), matching what the trajectory records elsewhere in the package.
+    Episodes and draws follow `_train_tabular` and `gridworld._play`.
     """
-    t0 = time.perf_counter()
-    stats = TrainingStats()
-    T = world.horizon
-    N = world.n_agents
-    noise = world.action_noise
     lr = params.learning_rate
     gamma = params.discount
     d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
-    perm = grid._perm_list
-    target = grid._target_list
     goal = grid._goal_list
-    padded, counts = grid._perm_choices
-    padded_l = padded.tolist()
-    counts_l = counts.tolist()
     ql: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(grid.n_cells)]
 
-    for e in range(params.episodes):
-        if params.time_budget_s is not None and time.perf_counter() - t0 > params.time_budget_s:
-            break
-        eps = params.epsilon_at(e)
-        r = rng.spawn(1)[0]
-        ids = [int(v) for v in _sample_initial_ids(grid, N, r)]
-        occupied = set(ids)
-        active = [not goal[c] for c in ids]
-        reached = [goal[c] for c in ids]
-        n_active = sum(active)
-        for _t in range(T):
-            if n_active == 0:
-                break
-            for i in range(N):
-                if not active[i]:
-                    continue
-                cur = ids[i]
-                if r.random() < eps:
-                    a = min(int(r.random() * N_ACTIONS), N_ACTIONS - 1)
-                else:
-                    a = _greedy(ql[cur])
-                if noise > 0.0 and r.random() < noise:
-                    a = padded_l[cur][int(r.random() * counts_l[cur])]
-                blocked_map = not perm[cur][a]
-                nxt = cur
-                if not blocked_map:
-                    tgt = target[cur][a]
-                    if tgt == cur or tgt not in occupied:
-                        nxt = tgt
-                if nxt != cur:
-                    occupied.discard(cur)
-                    occupied.add(nxt)
-                    ids[i] = nxt
-                if goal[nxt]:
-                    r_val = d3
-                    boot = 0.0
-                    active[i] = False
-                    reached[i] = True
-                    n_active -= 1
-                else:
-                    r_val = d2 if blocked_map else d1
-                    row = ql[nxt]
-                    boot = row[0]
-                    for b in range(1, N_ACTIONS):
-                        if row[b] > boot:
-                            boot = row[b]
-                cell_row = ql[cur]
-                cell_row[a] += lr * (r_val + gamma * boot - cell_row[a])
-                stats.policy_updates += 1
-        stats.episodes_run += 1
-        stats.goal_reach_count += sum(reached)
+    def record(_i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
+        if goal[nxt]:
+            r_val = d3
+            boot = 0.0
+        else:
+            r_val = d2 if blocked_map else d1
+            boot = max(ql[nxt])
+        row = ql[cur]
+        row[a] += lr * (r_val + gamma * boot - row[a])
 
-    table = QTable(grid, np.array(ql))
-    policy = epsilon_greedy_policy(table, params.explore_end)
-    stats.wall_time = time.perf_counter() - t0
-    return table, policy, stats
+    return _train_tabular(grid, world, params, rng, ql, record)
 
 
 def mc_train(
@@ -471,97 +457,39 @@ def mc_train(
     pair is folded into a running average; behavior is epsilon-greedy on the
     current averages. policy_updates counts accumulator writes. The returned
     QTable holds the averages; the Policy is the epsilon-greedy extraction at
-    explore_end.
+    explore_end. Episodes and draws follow `_train_tabular` and
+    `gridworld._play`.
     """
-    t0 = time.perf_counter()
-    stats = TrainingStats()
-    T = world.horizon
     N = world.n_agents
-    noise = world.action_noise
     gamma = params.discount
     d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
-    perm = grid._perm_list
-    target = grid._target_list
     goal = grid._goal_list
-    padded, counts = grid._perm_choices
-    padded_l = padded.tolist()
-    counts_l = counts.tolist()
     n = grid.n_cells
     sums: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(n)]
     cnts: list[list[int]] = [[0] * N_ACTIONS for _ in range(n)]
     est: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(n)]
+    turns: list[list[tuple[int, int, float]]] = [[] for _ in range(N)]
 
-    for e in range(params.episodes):
-        if params.time_budget_s is not None and time.perf_counter() - t0 > params.time_budget_s:
-            break
-        eps = params.epsilon_at(e)
-        r = rng.spawn(1)[0]
-        ids = [int(v) for v in _sample_initial_ids(grid, N, r)]
-        occupied = set(ids)
-        active = [not goal[c] for c in ids]
-        reached = [goal[c] for c in ids]
-        s_tr: list[list[int]] = [[] for _ in range(N)]
-        a_tr: list[list[int]] = [[] for _ in range(N)]
-        r_tr: list[list[float]] = [[] for _ in range(N)]
-        n_active = sum(active)
-        for _t in range(T):
-            if n_active == 0:
-                break
-            for i in range(N):
-                if not active[i]:
-                    continue
-                cur = ids[i]
-                if r.random() < eps:
-                    a = min(int(r.random() * N_ACTIONS), N_ACTIONS - 1)
-                else:
-                    a = _greedy(est[cur])
-                if noise > 0.0 and r.random() < noise:
-                    a = padded_l[cur][int(r.random() * counts_l[cur])]
-                blocked_map = not perm[cur][a]
-                nxt = cur
-                if not blocked_map:
-                    tgt = target[cur][a]
-                    if tgt == cur or tgt not in occupied:
-                        nxt = tgt
-                if nxt != cur:
-                    occupied.discard(cur)
-                    occupied.add(nxt)
-                    ids[i] = nxt
-                if goal[nxt]:
-                    r_val = d3
-                    active[i] = False
-                    reached[i] = True
-                    n_active -= 1
-                else:
-                    r_val = d2 if blocked_map else d1
-                s_tr[i].append(cur)
-                a_tr[i].append(a)
-                r_tr[i].append(r_val)
-        for i in range(N):
-            rewards = r_tr[i]
-            if not rewards:
-                continue
-            L = len(rewards)
-            returns = [0.0] * L
+    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
+        turns[i].append((cur, a, d3 if goal[nxt] else d2 if blocked_map else d1))
+
+    def fold() -> int:
+        updates = 0
+        for steps in turns:
+            returns = [0.0] * len(steps)
             G = 0.0
-            for t in range(L - 1, -1, -1):
-                G = rewards[t] + gamma * G
+            for t in range(len(steps) - 1, -1, -1):
+                G = steps[t][2] + gamma * G
                 returns[t] = G
-            first: dict[int, int] = {}
-            for t in range(L):
-                key = s_tr[i][t] * N_ACTIONS + a_tr[i][t]
-                if key not in first:
-                    first[key] = t
-            for key, t in first.items():
-                s, a = divmod(key, N_ACTIONS)
+            first: dict[tuple[int, int], int] = {}
+            for t, (s, a, _r) in enumerate(steps):
+                first.setdefault((s, a), t)
+            for (s, a), t in first.items():
                 sums[s][a] += returns[t]
                 cnts[s][a] += 1
                 est[s][a] = sums[s][a] / cnts[s][a]
-                stats.policy_updates += 1
-        stats.episodes_run += 1
-        stats.goal_reach_count += sum(reached)
+            updates += len(first)
+            steps.clear()
+        return updates
 
-    table = QTable(grid, np.array(est))
-    policy = epsilon_greedy_policy(table, params.explore_end)
-    stats.wall_time = time.perf_counter() - t0
-    return table, policy, stats
+    return _train_tabular(grid, world, params, rng, est, record, fold)

@@ -23,11 +23,11 @@ from .gridworld import (
     GridMap,
     RewardConfig,
     WorldConfig,
-    manhattan,
+    action_delta,
     parse_map,
     sample_initial,
 )
-from .metrics import EpisodeRecord, MetricsReport, aggregate, rollout
+from .metrics import EpisodeRecord, MetricsReport, _min_hazard_distances, aggregate, rollout
 
 ALGORITHMS = ("astar", "egt", "mc", "qlearn")
 
@@ -256,8 +256,7 @@ def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
     density = _get(kv, "map.density", _float, 0.2)
     area = width * height
     goals = _get(kv, "map.goals", _int, max(1, math.ceil(0.01 * area)))
-    raw_starts = kv.get("map.starts", "all")
-    starts = None if raw_starts == "all" else int(raw_starts)
+    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts", _int, None)
     map_seed = _get(kv, "map.seed", _int, default_seed)
     return gen_map(width, height, density, starts, goals, map_seed)
 
@@ -300,16 +299,14 @@ def _resolve_params(
             behavior_mode=kv.get("egt.mode", "iterative"),
         )
     if algorithm in ("mc", "qlearn"):
-        decay = kv.get("learn.explore_decay")
-        budget = kv.get("learn.time_budget_s")
         return LearnParams(
             learning_rate=_get(kv, "learn.rate", _float, 0.5),
             discount=_get(kv, "learn.discount", _float, 0.95),
             explore=_get(kv, "learn.explore", _float, 1.0),
             explore_end=_get(kv, "learn.explore_end", _float, 0.05),
-            explore_decay_episodes=int(decay) if decay is not None else None,
+            explore_decay_episodes=_get(kv, "learn.explore_decay", _int, None),
             episodes=_resolve_episodes(kv, "learn.episodes", grid, world, 10000),
-            time_budget_s=float(budget) if budget is not None else None,
+            time_budget_s=_get(kv, "learn.time_budget_s", _float, None),
         )
     return None
 
@@ -404,49 +401,45 @@ def sweep_from_config(kv: Mapping[str, str], axis: str | None = None) -> SweepSp
 # -- running -------------------------------------------------------------------
 
 
+_STEP_ACTIONS = {action_delta(a): a for a in Action}
+
+
 def _plan_record(plan, grid: GridMap, rewards: RewardConfig) -> EpisodeRecord:
     """Convert a PlanResult into an EpisodeRecord for shared aggregation."""
-    n = len(plan.paths)
-    finals = [path[-1] for path in plan.paths]
     trajectories = []
     returns = []
-    distances = []
-    for i, path in enumerate(plan.paths):
-        steps = []
+    for path, ok in zip(plan.paths, plan.success):
+        steps = [
+            (cur, _STEP_ACTIONS[(nxt[0] - cur[0], nxt[1] - cur[1])])
+            for cur, nxt in zip(path, path[1:])
+        ]
         total = 0.0
-        for t in range(len(path) - 1):
-            cur, nxt = path[t], path[t + 1]
-            dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
-            action = {
-                (0, -1): Action.UP, (0, 1): Action.DOWN,
-                (-1, 0): Action.LEFT, (1, 0): Action.RIGHT,
-                (0, 0): Action.STAY,
-            }[(dx, dy)]
-            steps.append((cur, action))
+        for nxt in path[1:]:
             total += rewards.delta3 if nxt in grid.goals else rewards.delta1
-        trajectories.append(
-            Trajectory(steps=steps, final=path[-1], reached_goal=plan.success[i])
-        )
+        trajectories.append(Trajectory(steps=steps, final=path[-1], reached_goal=ok))
         returns.append(total)
-        best = None
-        for t in range(len(path)):
-            d = grid.obstacle_clearance(path[t])
-            for j in range(n):
-                if j == i:
-                    continue
-                other = plan.paths[j][t] if t < len(plan.paths[j]) else finals[j]
-                dd = manhattan(path[t], other)
-                if dd < d:
-                    d = dd
-            if best is None or d < best:
-                best = d
-        distances.append(best)
+    paths = [[grid.cell_id(c) for c in path] for path in plan.paths]
     return EpisodeRecord(
         trajectories=tuple(trajectories),
         returns=tuple(returns),
         cumulative_return=float(sum(returns)),
-        min_obstacle_distances=tuple(distances),
+        min_obstacle_distances=tuple(_min_hazard_distances(grid, paths)),
     )
+
+
+def _train_learner(
+    cfg: ExperimentConfig, rng: np.random.Generator
+) -> tuple[Policy, TrainingStats]:
+    """Train cfg's learner (egt, qlearn or mc); astar has nothing to train."""
+    if cfg.algorithm == "egt":
+        policy, _table, stats = _egt.train(cfg.grid, cfg.world, cfg.params, cfg.rewards, rng)
+    elif cfg.algorithm == "qlearn":
+        _table, policy, stats = q_train(cfg.grid, cfg.world, cfg.rewards, cfg.params, rng)
+    elif cfg.algorithm == "mc":
+        _table, policy, stats = mc_train(cfg.grid, cfg.world, cfg.rewards, cfg.params, rng)
+    else:
+        raise ConfigError("train does not apply to astar (nothing to train)")
+    return policy, stats
 
 
 def run_experiment(
@@ -460,12 +453,8 @@ def run_experiment(
 
     policy: Policy | None = None
     stats = TrainingStats()
-    if cfg.algorithm == "egt":
-        policy, _table, stats = _egt.train(grid, world, cfg.params, rewards, rng)
-    elif cfg.algorithm == "qlearn":
-        _table, policy, stats = q_train(grid, world, rewards, cfg.params, rng)
-    elif cfg.algorithm == "mc":
-        _table, policy, stats = mc_train(grid, world, rewards, cfg.params, rng)
+    if cfg.algorithm != "astar":
+        policy, stats = _train_learner(cfg, rng)
 
     t0 = time.perf_counter()
     records = []

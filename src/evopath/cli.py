@@ -13,10 +13,13 @@ import sys
 import numpy as np
 
 from . import egt as _egt
-from .baselines import mc_train, q_train
 from .bench import (
     ConfigError,
+    _float,
+    _get,
+    _int,
     _resolve_map,
+    _train_learner,
     experiment_from_config,
     parse_config,
     run_experiment,
@@ -74,15 +77,7 @@ def _cmd_gen_map(args) -> int:
 def _cmd_train(args) -> int:
     kv = _load_kv(args)
     cfg = experiment_from_config(kv)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.algorithm == "egt":
-        policy, _table, stats = _egt.train(cfg.grid, cfg.world, cfg.params, cfg.rewards, rng)
-    elif cfg.algorithm == "qlearn":
-        _table, policy, stats = q_train(cfg.grid, cfg.world, cfg.rewards, cfg.params, rng)
-    elif cfg.algorithm == "mc":
-        _table, policy, stats = mc_train(cfg.grid, cfg.world, cfg.rewards, cfg.params, rng)
-    else:
-        raise ConfigError("train does not apply to astar (nothing to train)")
+    policy, stats = _train_learner(cfg, np.random.default_rng(cfg.seed))
     _emit(policy.to_text(), args.out)
     print(f"episodes_run={stats.episodes_run}")
     print(f"policy_updates={stats.policy_updates}")
@@ -105,11 +100,7 @@ def _cmd_eval(args) -> int:
         f"train_time_s={report.train_time:.6f}",
         f"run_time_s={report.run_time:.6f}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _emit(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -141,11 +132,11 @@ def _cmd_ess_test(args) -> int:
     cfg = experiment_from_config(kv)
     if cfg.algorithm != "egt":
         raise ConfigError("ess-test requires algorithm=egt")
-    p_new = float(kv.get("ess.p_new", "0.1"))
-    extra = float(kv.get("ess.extra_fraction", "0.1"))
-    eval_episodes = int(kv.get("ess.eval_episodes", "200"))
-    threshold = float(kv.get("ess.agreement_threshold", "0.95"))
-    tolerance = float(kv.get("ess.fitness_tolerance", "0.05"))
+    p_new = _get(kv, "ess.p_new", _float, 0.1)
+    extra = _get(kv, "ess.extra_fraction", _float, 0.1)
+    eval_episodes = _get(kv, "ess.eval_episodes", _int, 200)
+    threshold = _get(kv, "ess.agreement_threshold", _float, 0.95)
+    tolerance = _get(kv, "ess.fitness_tolerance", _float, 0.05)
     rng = np.random.default_rng(cfg.seed)
     report = _egt.ess_test(
         cfg.grid, cfg.world, cfg.params, cfg.rewards, p_new, extra, rng,
@@ -162,11 +153,7 @@ def _cmd_ess_test(args) -> int:
         f"fitness_after={report.fitness_after:.6f}",
         f"is_ess={str(report.is_ess).lower()}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _emit(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -319,6 +319,16 @@ class GridMap:
     def _goal_list(self) -> list[bool]:
         return self._goal_mask.tolist()
 
+    @cached_property
+    def _pick_bytes(self) -> tuple[bytes, bytes]:
+        """_perm_choices as flat bytes for noisy scalar episodes.
+
+        Bytes, not list mirrors: lists take about 100 kB per 900-cell grid,
+        and a sweep that keeps its grids alive would pay that for each.
+        """
+        padded, counts = self._perm_choices
+        return padded.tobytes(), counts.astype(np.int8).tobytes()
+
     # -- text format ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -388,53 +398,74 @@ def permissible_actions(grid: GridMap, cell: Cell) -> set[Action]:
 
 # -- stepping ---------------------------------------------------------------
 
-_MOVED = int(StepEvent.MOVED)
-_BLOCKED_MAP = int(StepEvent.BLOCKED_BY_MAP)
-_BLOCKED_AGENT = int(StepEvent.BLOCKED_BY_AGENT)
-_REACHED = int(StepEvent.REACHED_GOAL)
 
-
-def _advance_ids(
-    perm: Sequence[Sequence[bool]],
-    target: Sequence[Sequence[int]],
-    goal: Sequence[bool],
+def _play(
+    grid: GridMap,
     ids: list[int],
-    acts: Sequence[int],
-    active: Sequence[bool] | None,
-    occupied: set[int],
-) -> list[int]:
-    """Resolve one tick over integer cell ids, mutating ids and occupied.
+    active: list[bool],
+    horizon: int,
+    noise: float,
+    rng: np.random.Generator | None,
+    choose: Callable[[int, int], int],
+    record: Callable[[int, int, int, int, bool], None],
+) -> int:
+    """Run one episode of up to `horizon` ticks over integer cell ids.
 
-    Agents resolve in ascending index order: a move into a cell still held by
-    a not-yet-moved (or already settled) agent is blocked, which also blocks
-    both ends of a swap. Returns per-agent StepEvent bit masks. Agents with
-    active[i] false keep their cell (frozen) and report only REACHED_GOAL.
+    This is the package's one scalar copy of the tick rule; step, rollout,
+    q_train and mc_train all call it (egt's batched kernel restates it over
+    arrays). Each tick, every active agent i in ascending index order:
+
+    1. takes its intended action a = choose(i, cell), which makes the
+       caller's own action draws, if any;
+    2. when noise > 0, draws one rng.random() coin;
+    3. when the coin is below noise, draws one rng.random() pick and plays
+       the int(pick * k)-th of the cell's k permissible actions, ascending.
+
+    The move then resolves at once: an impermissible action leaves the agent
+    in place (blocked by the map); a target held by any agent (one that
+    already moved this tick, or one that has not moved yet) also leaves it in
+    place, which blocks both ends of a swap; otherwise the agent moves.
+    record(i, cell, a, next_cell, blocked_by_map) follows every turn. An
+    agent whose next cell is a goal becomes inactive: it freezes there and
+    keeps blocking its cell. Inactive agents draw nothing. The episode stops
+    early once no agent is active. ids and active are updated in place.
+    Returns the number of turns taken, which is the number of record calls.
     """
-    events = [0] * len(ids)
-    for i in range(len(ids)):
-        if active is not None and not active[i]:
-            if goal[ids[i]]:
-                events[i] = _REACHED
-            continue
-        cur = ids[i]
-        a = acts[i]
-        if not perm[cur][a]:
-            ev = _BLOCKED_MAP
-        else:
-            tgt = target[cur][a]
-            if tgt == cur:
-                ev = 0
-            elif tgt in occupied:
-                ev = _BLOCKED_AGENT
-            else:
-                occupied.discard(cur)
-                occupied.add(tgt)
-                ids[i] = tgt
-                ev = _MOVED
-        if goal[ids[i]]:
-            ev |= _REACHED
-        events[i] = ev
-    return events
+    perm = grid._perm_list
+    target = grid._target_list
+    goal = grid._goal_list
+    noisy = noise > 0.0
+    if noisy:
+        picks, counts = grid._pick_bytes
+        rand = rng.random
+    occupied = set(ids)
+    agents = range(len(ids))
+    n_active = sum(active)
+    turns = 0
+    for _t in range(horizon):
+        if n_active == 0:
+            break
+        for i in agents:
+            if not active[i]:
+                continue
+            cur = ids[i]
+            a = choose(i, cur)
+            if noisy and rand() < noise:
+                a = picks[N_ACTIONS * cur + int(rand() * counts[cur])]
+            blocked_map = not perm[cur][a]
+            nxt = cur
+            if not blocked_map:
+                tgt = target[cur][a]
+                if tgt != cur and tgt not in occupied:
+                    occupied.discard(cur)
+                    occupied.add(tgt)
+                    ids[i] = nxt = tgt
+            record(i, cur, a, nxt, blocked_map)
+            turns += 1
+            if goal[nxt]:
+                active[i] = False
+                n_active -= 1
+    return turns
 
 
 @dataclass(frozen=True)
@@ -454,12 +485,12 @@ def step(
     action_noise: float = 0.0,
     frozen: Sequence[bool] | None = None,
 ) -> StepOutcome:
-    """Advance all agents one tick.
+    """Advance all agents one tick under the rule and draw order of `_play`.
 
     With probability `action_noise` an agent's action is resampled uniformly
-    from its permissible set (requires rng). Frozen agents keep their cell and
-    consume no randomness. With action_noise 0 the result is a pure function
-    of the inputs.
+    from its permissible set (requires rng). Frozen agents keep their cell,
+    consume no randomness and report only REACHED_GOAL. With action_noise 0
+    the result is a pure function of the inputs.
     """
     if len(actions) != len(cells):
         raise ValueError("cells and actions must have the same length")
@@ -473,28 +504,36 @@ def step(
         ids.append(grid.cell_id(c))
     if len(set(ids)) != len(ids):
         raise InvalidJointStateError("two agents occupy the same cell")
-
-    perm, target = grid._perm_target
-    padded, counts = grid._perm_choices
     acts = [int(a) for a in actions]
-    for i in range(len(acts)):
-        if not 0 <= acts[i] < N_ACTIONS:
-            raise ValueError(f"invalid action {acts[i]} for agent {i}")
-        if frozen is not None and frozen[i]:
-            continue
-        if action_noise > 0.0 and rng.random() < action_noise:
-            cid = ids[i]
-            acts[i] = int(padded[cid, int(rng.random() * counts[cid])])
+    for i, a in enumerate(acts):
+        if not 0 <= a < N_ACTIONS:
+            raise ValueError(f"invalid action {a} for agent {i}")
 
-    occupied = set(ids)
-    active = None if frozen is None else [not f for f in frozen]
-    events = _advance_ids(
-        grid._perm_list, grid._target_list, grid._goal_list,
-        ids, acts, active, occupied,
-    )
+    target = grid._target_list
+    goal = grid._goal_list
+    active = [True] * len(ids) if frozen is None else [not f for f in frozen]
+    events = [
+        StepEvent.REACHED_GOAL if goal[c] and not on else StepEvent(0)
+        for c, on in zip(ids, active)
+    ]
+
+    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
+        if blocked_map:
+            ev = StepEvent.BLOCKED_BY_MAP
+        elif nxt != cur:
+            ev = StepEvent.MOVED
+        elif target[cur][a] != cur:
+            ev = StepEvent.BLOCKED_BY_AGENT
+        else:
+            ev = StepEvent(0)
+        if goal[nxt]:
+            ev |= StepEvent.REACHED_GOAL
+        events[i] = ev
+
+    _play(grid, ids, active, 1, action_noise, rng, lambda i, _cur: acts[i], record)
     return StepOutcome(
         next_cells=tuple(grid.id_to_cell(i) for i in ids),
-        events=tuple(StepEvent(e) for e in events),
+        events=tuple(events),
     )
 
 

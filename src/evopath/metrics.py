@@ -20,6 +20,7 @@ from .gridworld import (
     GridMap,
     RewardConfig,
     WorldConfig,
+    _play,
     _sample_initial_ids,
     manhattan,
 )
@@ -57,17 +58,33 @@ def min_obstacle_distance(
         raise ValueError(
             f"others must cover {len(positions)} ticks, got {len(others)}"
         )
-    best: int | None = None
-    for t, cell in enumerate(positions):
-        d = grid.obstacle_clearance(cell)
-        if others is not None:
-            for other in others[t]:
-                dd = manhattan(cell, other)
-                if dd < d:
-                    d = dd
-        if best is None or d < best:
-            best = d
+    best = min(grid.obstacle_clearance(cell) for cell in positions)
+    for cell, row in zip(positions, () if others is None else others):
+        for other in row:
+            best = min(best, manhattan(cell, other))
     return int(best)
+
+
+def _min_hazard_distances(grid: GridMap, paths: Sequence[Sequence[int]]) -> list[int]:
+    """Per agent, the smallest hazard distance along its path of cell ids.
+
+    paths[i][t] is agent i's cell at tick t; an agent whose path has ended
+    counts as staying on its last cell. At each tick of its own path, an
+    agent's hazard distance is its clearance (obstacles and the boundary
+    ring) or its Manhattan distance to another agent's cell at that tick,
+    whichever is smaller.
+    """
+    T = max(len(p) for p in paths)
+    ids = np.array([list(p) + [p[-1]] * (T - len(p)) for p in paths], dtype=np.int64)
+    xs, ys = ids % grid.width, ids // grid.width
+    clear = grid._clearance[ids]
+    out = []
+    for i, p in enumerate(paths):
+        L = len(p)
+        near = np.abs(xs[:, :L] - xs[i, :L]) + np.abs(ys[:, :L] - ys[i, :L])
+        near[i] = clear[i, :L]
+        out.append(int(near.min()))
+    return out
 
 
 def rollout(
@@ -79,101 +96,51 @@ def rollout(
 ) -> EpisodeRecord:
     """Simulate one episode of N agents sharing one policy for up to T steps.
 
-    Agents act in index order each tick with sequential conflict resolution;
-    an agent that reaches a goal freezes there but keeps occupying its cell.
-    Action noise is applied here (after the policy draw), so trajectories
-    record the action actually executed.
+    The tick rule and draw order are `gridworld._play`'s; each acting agent
+    first draws one uniform for its policy action. Agents that start on a
+    goal never act. Trajectories record the action actually executed (after
+    any action noise).
     """
-    T = world.horizon
     N = world.n_agents
-    noise = world.action_noise
     d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
-    perm = grid._perm_list
-    target = grid._target_list
     goal = grid._goal_list
-    padded, counts = grid._perm_choices
-    padded_l = padded.tolist()
-    counts_l = counts.tolist()
     cdf = policy._cdf.tolist()
+    rand = rng.random
 
     ids = [int(v) for v in _sample_initial_ids(grid, N, rng)]
-    occupied = set(ids)
-    active = [not goal[c] for c in ids]
-    reached = [goal[c] for c in ids]
     s_tr: list[list[int]] = [[] for _ in range(N)]
     a_tr: list[list[int]] = [[] for _ in range(N)]
     ret = [0.0] * N
-    history = [ids.copy()]
-    n_active = sum(active)
-    for _t in range(T):
-        if n_active == 0:
-            break
-        for i in range(N):
-            if not active[i]:
-                continue
-            cur = ids[i]
-            u = rng.random()
-            row = cdf[cur]
-            a = (row[0] < u) + (row[1] < u) + (row[2] < u) + (row[3] < u)
-            if noise > 0.0 and rng.random() < noise:
-                a = padded_l[cur][int(rng.random() * counts_l[cur])]
-            blocked_map = not perm[cur][a]
-            nxt = cur
-            if not blocked_map:
-                tgt = target[cur][a]
-                if tgt == cur or tgt not in occupied:
-                    nxt = tgt
-            if nxt != cur:
-                occupied.discard(cur)
-                occupied.add(nxt)
-                ids[i] = nxt
-            s_tr[i].append(cur)
-            a_tr[i].append(a)
-            if goal[nxt]:
-                ret[i] += d3
-                active[i] = False
-                reached[i] = True
-                n_active -= 1
-            else:
-                ret[i] += d2 if blocked_map else d1
-        history.append(ids.copy())
+
+    def choose(_i: int, cur: int) -> int:
+        u = rand()
+        row = cdf[cur]
+        return (row[0] < u) + (row[1] < u) + (row[2] < u) + (row[3] < u)
+
+    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
+        s_tr[i].append(cur)
+        a_tr[i].append(a)
+        ret[i] += d3 if goal[nxt] else d2 if blocked_map else d1
+
+    _play(grid, ids, [not goal[c] for c in ids], world.horizon, world.action_noise,
+          rng, choose, record)
 
     w = grid.width
-    trajectories = []
-    for i in range(N):
-        steps = [
-            (((s % w), (s // w)), Action(a)) for s, a in zip(s_tr[i], a_tr[i])
-        ]
-        trajectories.append(
-            Trajectory(steps=steps, final=(ids[i] % w, ids[i] // w), reached_goal=reached[i])
+    trajectories = tuple(
+        Trajectory(
+            steps=[((s % w, s // w), Action(a)) for s, a in zip(s_tr[i], a_tr[i])],
+            final=(ids[i] % w, ids[i] // w),
+            reached_goal=goal[ids[i]],
         )
-
-    clearance = grid._clearance
-    distances = []
-    for i in range(N):
-        L = len(s_tr[i])
-        best = None
-        for t in range(L + 1):
-            cid = (s_tr[i][t] if t < L else ids[i])
-            d = int(clearance[cid])
-            x, y = cid % w, cid // w
-            row = history[t] if t < len(history) else history[-1]
-            for j in range(N):
-                if j == i:
-                    continue
-                oid = row[j]
-                dd = abs(x - oid % w) + abs(y - oid // w)
-                if dd < d:
-                    d = dd
-            if best is None or d < best:
-                best = d
-        distances.append(best)
-
+        for i in range(N)
+    )
     return EpisodeRecord(
-        trajectories=tuple(trajectories),
+        trajectories=trajectories,
         returns=tuple(ret),
         cumulative_return=float(sum(ret)),
-        min_obstacle_distances=tuple(distances),
+        min_obstacle_distances=tuple(
+            _min_hazard_distances(grid, [s_tr[i] + [ids[i]] for i in range(N)])
+        ),
     )
 
 

@@ -368,3 +368,62 @@ def reference_fitness(grid, world, policy, rng, episodes):
                 stretch = len(steps) / d if d else math.inf
             total += -min(stretch, float(world.horizon))
     return total / (episodes * world.n_agents)
+
+
+def reference_rollout(grid, world, reward_cfg, policy, rng):
+    """One evaluation rollout, agent by agent in index order.
+
+    Takes its draws from rng in the scalar order: start cells (through the
+    public sample_initial), then per tick, per acting agent in index order,
+    one policy uniform and, with noise, a coin and, when the coin is below
+    the noise level, a pick over the cell's permissible actions in ascending
+    order. Moves resolve against a set of occupied cells; an agent on a goal
+    freezes and keeps its cell. Rewards: d3 on a goal, d2 when blocked by
+    the map, d1 otherwise. Each agent's minimum distance comes from
+    min_hazard_distance over its own ticks against every other agent's cell
+    at the same tick, read from a per-tick snapshot of all cells.
+
+    Returns (per agent (steps, final cell, reached), returns, distances).
+    """
+    from evopath.gridworld import sample_initial
+
+    T, N, noise = world.horizon, world.n_agents, world.action_noise
+    w, h, obstacles, goals = grid.width, grid.height, grid.obstacles, grid.goals
+    cells = sample_initial(grid, N, rng)
+    occupied = set(cells)
+    done = [c in goals for c in cells]
+    steps = [[] for _ in range(N)]
+    returns = [0.0] * N
+    history = [list(cells)]
+    for t in range(T):
+        if all(done):
+            break
+        for i in range(N):
+            if done[i]:
+                continue
+            cur = cells[i]
+            cdf = np.cumsum(policy.probs_at(cur)).tolist()
+            u = rng.random()
+            a = sum(cdf[k] < u for k in range(4))
+            if noise > 0.0 and rng.random() < noise:
+                allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
+                a = allowed[int(rng.random() * len(allowed))]
+            steps[i].append((cur, a))
+            nxt, blocked = transition(cur, a, w, h, obstacles)
+            if not blocked and nxt not in occupied:
+                occupied.remove(cur)
+                occupied.add(nxt)
+                cells[i] = nxt
+            if cells[i] in goals:
+                done[i] = True
+                returns[i] += reward_cfg.delta3
+            else:
+                returns[i] += reward_cfg.delta2 if blocked else reward_cfg.delta1
+        history.append(list(cells))
+    distances = []
+    for i in range(N):
+        positions = [c for c, _ in steps[i]] + [cells[i]]
+        others = [[row[j] for j in range(N) if j != i] for row in history]
+        distances.append(min_hazard_distance(positions, w, h, obstacles, others))
+    trajectories = [(steps[i], cells[i], cells[i] in goals) for i in range(N)]
+    return trajectories, returns, distances

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from evopath.baselines import LearnParams
+import numpy as np
+
+from evopath.baselines import LearnParams, astar_plan
 from evopath.bench import (
     CSV_HEADER,
     SUMMARY_HEADER,
@@ -11,6 +13,7 @@ from evopath.bench import (
     ExperimentConfig,
     GenerationError,
     SweepSpec,
+    _plan_record,
     default_episode_budget,
     default_horizon,
     experiment_from_config,
@@ -22,8 +25,8 @@ from evopath.bench import (
     sweep_from_config,
 )
 from evopath.egt import EGTParams
-from evopath.gridworld import RewardConfig, WorldConfig, parse_map
-from oracles import bfs_distance
+from evopath.gridworld import RewardConfig, WorldConfig, parse_map, sample_initial
+from oracles import bfs_distance, min_hazard_distance, transition
 
 BASE_SWEEP = (
     "algorithm=egt\nseed=9\ntiming=off\nmap.density=0.1\nmap.goals=1\n"
@@ -205,6 +208,21 @@ def test_bad_experiment_configs_are_rejected(text):
         experiment_from_config(kv(text))
 
 
+
+@pytest.mark.parametrize(
+    "key, value, algorithm",
+    [
+        ("map.starts", "many", "egt"),
+        ("learn.explore_decay", "abc", "qlearn"),
+        ("learn.time_budget_s", "soon", "mc"),
+    ],
+)
+def test_bad_values_are_reported_with_their_key(key, value, algorithm):
+    text = f"algorithm={algorithm}\nmap.width=4\nmap.height=4\n{key}={value}\n"
+    with pytest.raises(ConfigError, match=f"^bad value for {key}: '{value}'"):
+        experiment_from_config(parse_config_text(text))
+
+
 def test_missing_map_file_reports_a_config_error(tmp_path):
     with pytest.raises(ConfigError):
         experiment_from_config(kv(f"algorithm=egt\nmap.file={tmp_path}/absent.map\n"))
@@ -310,6 +328,44 @@ def test_run_experiment_is_deterministic_with_timing_off():
     a = run_experiment(experiment_from_config(kv(text)))
     b = run_experiment(experiment_from_config(kv(text)))
     assert a == b
+
+
+
+def test_plan_records_match_oracles_on_fuzzed_plans():
+    # crowded boards, so some agents fail and their paths end early; an
+    # ended path holds its last cell for the other agents' distances
+    rng = np.random.default_rng(99)
+    rewards = RewardConfig()
+    checked = failed = 0
+    while checked < 60:
+        w, h = (int(v) for v in rng.integers(3, 9, size=2))
+        try:
+            grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+        except GenerationError:
+            continue
+        n_agents = int(rng.integers(1, min(7, len(grid.starts)) + 1))
+        plan = astar_plan(grid, sample_initial(grid, n_agents, rng), int(rng.integers(1, 2 * (w + h))))
+        rec = _plan_record(plan, grid, rewards)
+        for i, (path, tau) in enumerate(zip(plan.paths, rec.trajectories)):
+            hand = 0.0
+            for cell in path[1:]:
+                hand += rewards.delta3 if cell in grid.goals else rewards.delta1
+            assert rec.returns[i] == hand
+            others = [
+                [p[t] if t < len(p) else p[-1] for j, p in enumerate(plan.paths) if j != i]
+                for t in range(len(path))
+            ]
+            assert rec.min_obstacle_distances[i] == min_hazard_distance(
+                path, w, h, grid.obstacles, others
+            )
+            assert [c for c, _ in tau.steps] + [tau.final] == list(path)
+            for (cell, action), nxt in zip(tau.steps, path[1:]):
+                assert transition(cell, int(action), w, h, grid.obstacles) == (nxt, False)
+            assert tau.reached_goal == plan.success[i]
+        assert rec.cumulative_return == sum(rec.returns)
+        failed += not all(plan.success)
+        checked += 1
+    assert failed > 0
 
 
 # -- run_sweep -------------------------------------------------------------------

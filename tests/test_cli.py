@@ -168,6 +168,20 @@ def test_ess_test_requires_the_counter_learner(cfg_file, capsys):
     assert re.match(r"^error: ConfigError: ", capsys.readouterr().err)
 
 
+
+@pytest.mark.parametrize("key, value", [
+    ("ess.p_new", "abc"),
+    ("ess.extra_fraction", "lots"),
+    ("ess.eval_episodes", "2.5"),
+    ("ess.agreement_threshold", "high"),
+    ("ess.fitness_tolerance", "?"),
+])
+def test_ess_test_reports_a_bad_value_by_its_key(cfg_file, capsys, key, value):
+    assert main(["ess-test", "--config", cfg_file(EGT_CFG + f"{key}={value}\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: bad value for {key}: '{value}'")
+
+
 # -- error surface ---------------------------------------------------------------
 
 

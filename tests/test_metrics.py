@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evopath.bench import GenerationError, gen_map
 from evopath.egt import Policy, TrainingStats, Trajectory
 from evopath.gridworld import Action, RewardConfig, WorldConfig, parse_map
 from evopath.metrics import (
@@ -17,7 +18,13 @@ from evopath.metrics import (
     min_obstacle_distance,
     rollout,
 )
-from oracles import bfs_distance, chain_success_probability, min_hazard_distance, transition
+from oracles import (
+    bfs_distance,
+    chain_success_probability,
+    min_hazard_distance,
+    reference_rollout,
+    transition,
+)
 
 UP, DOWN, LEFT, RIGHT, STAY = Action
 
@@ -352,6 +359,39 @@ def test_rollout_distances_match_the_brute_force_loop(case):
         expected = min_hazard_distance(positions, grid.width, grid.height, grid.obstacles, others)
         assert rec.min_obstacle_distances[i] == expected
         assert expected >= 0
+
+
+
+def test_rollout_matches_reference_on_crowded_fuzzed_maps():
+    # small boards packed with up to 8 agents under skewed random policies,
+    # so chains of moves, swaps and frozen blockers all occur
+    rng = np.random.default_rng(4242)
+    for noise in (0.0, 0.3, 1.0):
+        checked = 0
+        while checked < 25:
+            w, h = (int(v) for v in rng.integers(3, 9, size=2))
+            try:
+                grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+            except GenerationError:
+                continue
+            n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+            world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
+                                action_noise=noise)
+            policy = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
+            seed = int(rng.integers(1 << 30))
+            run, ref_run = np.random.default_rng(seed), np.random.default_rng(seed)
+            rec = rollout(grid, world, RCFG, policy, run)
+            ref = reference_rollout(grid, world, RCFG, policy, ref_run)
+            got = (
+                [([(c, int(a)) for c, a in tau.steps], tau.final, tau.reached_goal)
+                 for tau in rec.trajectories],
+                list(rec.returns),
+                list(rec.min_obstacle_distances),
+            )
+            assert got == ref, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
+            assert rec.cumulative_return == sum(rec.returns)
+            assert run.random() == ref_run.random()
+            checked += 1
 
 
 # -- aggregate -------------------------------------------------------------------
