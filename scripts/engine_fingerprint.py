@@ -17,14 +17,21 @@ covers:
 - q_train and mc_train tables (raw values) and stats for N in {1, 3, 5},
   noise in {0, 0.25};
 - the sweep CSVs of configs/agent_sweep.cfg, and of a noisy sweep over all
-  four algorithms, with timing=off.
+  four algorithms, with timing=off;
+- the output of the CLI's gen-map, eval, train (snapshot and counts, not
+  train_time_s) and ess-test on an egt config (2 agents, noise 0.1) and a
+  qlearn config (learn.episodes = auto, a reward.delta2 override), and the
+  eval and ess-test error line for every known config key set to "abc".
 
 Takes a few minutes on one core.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +42,8 @@ from evopath import (  # noqa: E402
     EGTParams, LearnParams, Policy, RewardConfig, WorldConfig, ess_test, gen_map,
     mc_train, q_train, rollout, step, train,
 )
-from evopath.bench import parse_config_text, run_sweep, sweep_from_config  # noqa: E402
+from evopath import cli  # noqa: E402
+from evopath.bench import _KNOWN_KEYS, parse_config_text, run_sweep, sweep_from_config  # noqa: E402
 
 
 def digest(text: str) -> str:
@@ -58,6 +66,68 @@ egt.episodes = 60
 learn.episodes = 80
 eval.episodes = 6
 """
+
+
+CLI_CONFIGS = {
+    "egt": """
+algorithm = egt
+seed = 3
+timing = off
+map.width = 8
+map.height = 8
+map.goals = 2
+world.agents = 2
+world.noise = 0.1
+world.horizon = 30
+egt.episodes = 200
+eval.episodes = 10
+ess.eval_episodes = 10
+""",
+    "qlearn": """
+algorithm = qlearn
+seed = 4
+timing = off
+map.width = 6
+map.height = 6
+learn.episodes = auto
+reward.delta2 = -7
+eval.episodes = 10
+""",
+}
+
+
+def run_cli(command: str, text: str, tmp: Path) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call on config text."""
+    path = tmp / "fingerprint.cfg"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_key(text: str, key: str, value: str) -> str:
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+def fingerprint_cli() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in CLI_CONFIGS.items():
+            for command in ("gen-map", "eval", "train", "ess-test"):
+                code, out, err = run_cli(command, text, tmp)
+                out = "".join(
+                    line for line in out.splitlines(keepends=True)
+                    if not line.startswith("train_time_s=")
+                )
+                print(f"cli {name} {command}: exit {code} out {digest(out)} err {err.strip()!r}")
+        small = with_key(with_key(CLI_CONFIGS["egt"], "egt.episodes", "20"), "eval.episodes", "2")
+        for key in sorted(_KNOWN_KEYS):
+            base = CLI_CONFIGS["qlearn"] if key.startswith("learn.") else small
+            for command in ("eval", "ess-test"):
+                code, out, err = run_cli(command, with_key(base, key, "abc"), tmp)
+                print(f"cli {key}=abc {command}: exit {code} out {digest(out)} err {err.strip()!r}")
 
 
 def fingerprint_rollouts(rewards: RewardConfig) -> None:
@@ -108,6 +178,7 @@ def fingerprint_learners(rewards: RewardConfig) -> None:
 
 def main() -> None:
     rewards = RewardConfig()
+    fingerprint_cli()
     fingerprint_rollouts(rewards)
     fingerprint_steps()
     fingerprint_learners(rewards)

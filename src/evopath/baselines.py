@@ -92,22 +92,17 @@ class QTable:
             raise ValueError("Q values must be finite")
         self._values = values.copy()
 
-    def _checked_id(self, cell: Cell) -> int:
-        if not self.grid.is_free(cell):
-            raise InvalidStateError(f"cell {cell} is not a free in-bounds cell")
-        return self.grid.cell_id(cell)
-
     def get(self, cell: Cell, action: Action) -> float:
-        return float(self._values[self._checked_id(cell), int(action)])
+        return float(self._values[self.grid._free_id(cell), int(action)])
 
     def set(self, cell: Cell, action: Action, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("Q values must be finite")
-        self._values[self._checked_id(cell), int(action)] = value
+        self._values[self.grid._free_id(cell), int(action)] = value
 
     def greedy_action(self, cell: Cell) -> Action:
         """Largest-estimate action; ties break toward the smaller action index."""
-        return Action(int(np.argmax(self._values[self._checked_id(cell)])))
+        return Action(int(np.argmax(self._values[self.grid._free_id(cell)])))
 
     def copy(self) -> "QTable":
         return QTable(self.grid, self._values)
@@ -150,25 +145,20 @@ class ReturnsAccumulator:
         self._sums = np.zeros((grid.n_cells, N_ACTIONS))
         self._counts = np.zeros((grid.n_cells, N_ACTIONS), dtype=np.int64)
 
-    def _checked_id(self, cell: Cell) -> int:
-        if not self.grid.is_free(cell):
-            raise InvalidStateError(f"cell {cell} is not a free in-bounds cell")
-        return self.grid.cell_id(cell)
-
     def add(self, cell: Cell, action: Action, value: float) -> float:
         """Record one first-visit return; returns the updated average."""
-        cid = self._checked_id(cell)
+        cid = self.grid._free_id(cell)
         a = int(action)
         self._sums[cid, a] += value
         self._counts[cid, a] += 1
         return float(self._sums[cid, a] / self._counts[cid, a])
 
     def count(self, cell: Cell, action: Action) -> int:
-        return int(self._counts[self._checked_id(cell), int(action)])
+        return int(self._counts[self.grid._free_id(cell), int(action)])
 
     def average(self, cell: Cell, action: Action) -> float | None:
         """Mean recorded return, or None when the pair was never visited."""
-        cid = self._checked_id(cell)
+        cid = self.grid._free_id(cell)
         a = int(action)
         if self._counts[cid, a] == 0:
             return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
@@ -23,6 +24,7 @@ from .gridworld import (
     GridMap,
     RewardConfig,
     WorldConfig,
+    _reach,
     action_delta,
     parse_map,
     sample_initial,
@@ -31,17 +33,22 @@ from .metrics import EpisodeRecord, MetricsReport, _min_hazard_distances, aggreg
 
 ALGORITHMS = ("astar", "egt", "mc", "qlearn")
 
-CSV_HEADER = (
-    "algorithm,axis,axis_value,rep,seed,mean_path_length,success_rate,"
-    "min_agent_success_rate,expected_min_obstacle_distance,policy_updates,"
-    "train_time_s,run_time_s,status"
+# CSV column -> (MetricsReport field, format), in column order
+_REPORT_COLUMNS = {
+    "mean_path_length": ("mean_path_length", ".6f"),
+    "success_rate": ("success_rate", ".6f"),
+    "min_agent_success_rate": ("min_agent_success_rate", ".6f"),
+    "expected_min_obstacle_distance": ("expected_min_obstacle_distance", ".6f"),
+    "policy_updates": ("policy_updates", "d"),
+    "train_time_s": ("train_time", ".6f"),
+    "run_time_s": ("run_time", ".6f"),
+}
+
+CSV_HEADER = ",".join(
+    ["algorithm", "axis", "axis_value", "rep", "seed", *_REPORT_COLUMNS, "status"]
 )
 
-SUMMARY_HEADER = (
-    "algorithm,axis,axis_value,n_ok,mean_path_length,success_rate,"
-    "min_agent_success_rate,expected_min_obstacle_distance,policy_updates,"
-    "train_time_s,run_time_s"
-)
+SUMMARY_HEADER = ",".join(["algorithm", "axis", "axis_value", "n_ok", *_REPORT_COLUMNS])
 
 
 class ConfigError(ValueError):
@@ -106,16 +113,7 @@ def gen_map(
         order = rng.permutation(len(free))
         goals = {free[i] for i in order[:n_goals]}
 
-        # flood outward from the goals through free cells
-        free_set = set(free)
-        reach = set(goals)
-        queue = list(goals)
-        while queue:
-            x, y = queue.pop()
-            for nxt in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
-                if nxt in free_set and nxt not in reach:
-                    reach.add(nxt)
-                    queue.append(nxt)
+        reach = _reach(goals, set(free).__contains__)
         candidates = sorted(reach - goals)
         if n_starts is None:
             if not candidates:
@@ -162,26 +160,52 @@ def parse_config(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-_KNOWN_KEYS = frozenset(
-    [
-        "algorithm", "seed", "timing",
-        "eval.episodes",
-        "map.file", "map.width", "map.height", "map.density",
-        "map.starts", "map.goals", "map.seed",
-        "world.agents", "world.horizon", "world.noise",
-        "reward.delta1", "reward.delta2", "reward.delta3",
-        "egt.eta", "egt.alpha", "egt.beta", "egt.nu", "egt.mu",
-        "egt.epsilon", "egt.episodes", "egt.reconstruct_interval", "egt.mode",
-        "learn.rate", "learn.discount", "learn.explore", "learn.explore_end",
-        "learn.explore_decay", "learn.episodes", "learn.time_budget_s",
-        "sweep.axis", "sweep.values", "sweep.algorithms", "sweep.reps", "sweep.out",
-        "ess.p_new", "ess.extra_fraction", "ess.eval_episodes",
-        "ess.agreement_threshold", "ess.fitness_tolerance",
-    ]
-)
+# Each table maps a config key to the keyword it sets and the keyword's parser.
+# A key left out of the config leaves its keyword out, so the target's own
+# default applies.
+_WORLD_KEYS = {"world.agents": ("n_agents", int), "world.noise": ("action_noise", float)}
+_REWARD_KEYS = {f"reward.delta{i}": (f"delta{i}", float) for i in (1, 2, 3)}
+_RUN_KEYS = {"eval.episodes": ("eval_episodes", int), "timing": ("timing", str)}
+_EGT_KEYS = {
+    "egt.eta": ("eta", float),
+    "egt.alpha": ("alpha", float),
+    "egt.beta": ("beta", float),
+    "egt.nu": ("nu", int),
+    "egt.mu": ("mu", int),
+    "egt.epsilon": ("epsilon", float),
+    "egt.reconstruct_interval": ("reconstruct_interval", int),
+    "egt.mode": ("behavior_mode", str),
+}
+_LEARN_KEYS = {
+    "learn.rate": ("learning_rate", float),
+    "learn.discount": ("discount", float),
+    "learn.explore": ("explore", float),
+    "learn.explore_end": ("explore_end", float),
+    "learn.explore_decay": ("explore_decay_episodes", int),
+    "learn.time_budget_s": ("time_budget_s", float),
+}
+_ESS_KEYS = {
+    "ess.eval_episodes": ("eval_episodes", int),
+    "ess.agreement_threshold": ("agreement_threshold", float),
+    "ess.fitness_tolerance": ("fitness_tolerance", float),
+}
+
+# algorithm -> (parameter class, key table, episode key); astar has no entry
+_LEARNERS = {
+    "egt": (EGTParams, _EGT_KEYS, "egt.episodes"),
+    "mc": (LearnParams, _LEARN_KEYS, "learn.episodes"),
+    "qlearn": (LearnParams, _LEARN_KEYS, "learn.episodes"),
+}
 
 _GENERATOR_KEYS = (
     "map.width", "map.height", "map.density", "map.starts", "map.goals", "map.seed",
+)
+
+_KNOWN_KEYS = frozenset().union(
+    _WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS, _LEARN_KEYS, _ESS_KEYS,
+    ("algorithm", "seed", "map.file", *_GENERATOR_KEYS, "world.horizon",
+     "egt.episodes", "learn.episodes", "ess.p_new", "ess.extra_fraction",
+     "sweep.axis", "sweep.values", "sweep.algorithms", "sweep.reps", "sweep.out"),
 )
 
 
@@ -197,18 +221,30 @@ def _get(kv: Mapping[str, str], key: str, parse: Callable, default):
         return default
     try:
         return parse(raw)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
 
-def _int(raw: str) -> int:
-    return int(raw)
+def _kwargs(kv: Mapping[str, str], table: Mapping[str, tuple[str, Callable]]) -> dict:
+    """Keyword arguments for the table's keys that kv sets, parsed."""
+    return {name: _get(kv, key, parse, None) for key, (name, parse) in table.items() if key in kv}
 
 
-def _float(raw: str) -> float:
-    return float(raw)
+def _seed(kv: Mapping[str, str]) -> int:
+    return _get(kv, "seed", int, ExperimentConfig.seed)
+
+
+def _ess_kwargs(kv: Mapping[str, str]) -> dict:
+    """ess_test's keyword arguments from the ess.* keys.
+
+    ess.p_new and ess.extra_fraction default to 0.1; the other keys default
+    to ess_test's own keyword defaults.
+    """
+    return {
+        "p_new": _get(kv, "ess.p_new", float, 0.1),
+        "extra_episode_fraction": _get(kv, "ess.extra_fraction", float, 0.1),
+        **_kwargs(kv, _ESS_KEYS),
+    }
 
 
 @dataclass(frozen=True)
@@ -231,13 +267,13 @@ class ExperimentConfig:
             raise ConfigError("eval.episodes must be >= 0")
         if self.timing not in ("wall", "off"):
             raise ConfigError("timing must be 'wall' or 'off'")
-        want = {"egt": EGTParams, "mc": LearnParams, "qlearn": LearnParams}.get(self.algorithm)
-        if want is None:
+        learner = _LEARNERS.get(self.algorithm)
+        if learner is None:
             if self.params is not None:
                 raise ConfigError("astar takes no parameter block")
-        elif not isinstance(self.params, want):
+        elif not isinstance(self.params, learner[0]):
             raise ConfigError(
-                f"algorithm {self.algorithm} needs a {want.__name__} parameter block"
+                f"algorithm {self.algorithm} needs a {learner[0].__name__} parameter block"
             )
 
 
@@ -251,81 +287,55 @@ def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
             return parse_map(fh.read())
     if "map.width" not in kv or "map.height" not in kv:
         raise ConfigError("map.file or map.width+map.height is required")
-    width = _get(kv, "map.width", _int, None)
-    height = _get(kv, "map.height", _int, None)
-    density = _get(kv, "map.density", _float, 0.2)
+    width = _get(kv, "map.width", int, None)
+    height = _get(kv, "map.height", int, None)
+    density = _get(kv, "map.density", float, 0.2)
     area = width * height
-    goals = _get(kv, "map.goals", _int, max(1, math.ceil(0.01 * area)))
-    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts", _int, None)
-    map_seed = _get(kv, "map.seed", _int, default_seed)
+    goals = _get(kv, "map.goals", int, max(1, math.ceil(0.01 * area)))
+    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts", int, None)
+    map_seed = _get(kv, "map.seed", int, default_seed)
     return gen_map(width, height, density, starts, goals, map_seed)
 
 
 def _resolve_world(kv: Mapping[str, str], grid: GridMap) -> WorldConfig:
-    agents = _get(kv, "world.agents", _int, 1)
-    raw_h = kv.get("world.horizon", "auto")
-    if raw_h == "auto":
+    if kv.get("world.horizon", "auto") == "auto":
         horizon = default_horizon(grid.width, grid.height)
     else:
-        horizon = _get(kv, "world.horizon", _int, None)
-    noise = _get(kv, "world.noise", _float, 0.0)
-    return WorldConfig(n_agents=agents, horizon=horizon, action_noise=noise)
-
-
-def _resolve_episodes(
-    kv: Mapping[str, str], key: str, grid: GridMap, world: WorldConfig, fallback: int
-) -> int:
-    raw = kv.get(key)
-    if raw is None:
-        return fallback
-    if raw == "auto":
-        return default_episode_budget(grid.width, grid.height, world.n_agents)
-    return _get(kv, key, _int, None)
+        horizon = _get(kv, "world.horizon", int, None)
+    return WorldConfig(horizon=horizon, **_kwargs(kv, _WORLD_KEYS))
 
 
 def _resolve_params(
     kv: Mapping[str, str], algorithm: str, grid: GridMap, world: WorldConfig
 ) -> EGTParams | LearnParams | None:
-    if algorithm == "egt":
-        return EGTParams(
-            eta=_get(kv, "egt.eta", _float, 1.5),
-            alpha=_get(kv, "egt.alpha", _float, 2.0),
-            beta=_get(kv, "egt.beta", _float, 2.0),
-            nu=_get(kv, "egt.nu", _int, 1),
-            mu=_get(kv, "egt.mu", _int, 1),
-            epsilon=_get(kv, "egt.epsilon", _float, 0.05),
-            episodes=_resolve_episodes(kv, "egt.episodes", grid, world, 2000),
-            reconstruct_interval=_get(kv, "egt.reconstruct_interval", _int, 100),
-            behavior_mode=kv.get("egt.mode", "iterative"),
-        )
-    if algorithm in ("mc", "qlearn"):
-        return LearnParams(
-            learning_rate=_get(kv, "learn.rate", _float, 0.5),
-            discount=_get(kv, "learn.discount", _float, 0.95),
-            explore=_get(kv, "learn.explore", _float, 1.0),
-            explore_end=_get(kv, "learn.explore_end", _float, 0.05),
-            explore_decay_episodes=_get(kv, "learn.explore_decay", _int, None),
-            episodes=_resolve_episodes(kv, "learn.episodes", grid, world, 10000),
-            time_budget_s=_get(kv, "learn.time_budget_s", _float, None),
-        )
-    return None
+    if algorithm not in _LEARNERS:
+        return None
+    cls, table, episodes_key = _LEARNERS[algorithm]
+    kwargs = _kwargs(kv, table)
+    if kv.get(episodes_key) == "auto":
+        kwargs["episodes"] = default_episode_budget(grid.width, grid.height, world.n_agents)
+    elif episodes_key in kv:
+        kwargs["episodes"] = _get(kv, episodes_key, int, None)
+    return cls(**kwargs)
 
 
 def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
-    """Resolve a parsed key=value mapping into an ExperimentConfig."""
+    """Resolve a parsed key=value mapping into an ExperimentConfig.
+
+    A key the config leaves out takes the default of the field it sets, in
+    WorldConfig, RewardConfig, EGTParams, LearnParams or ExperimentConfig.
+    world.horizon (default auto), egt.episodes and learn.episodes also accept
+    "auto", which resolves through default_horizon and default_episode_budget.
+    """
     _check_keys(kv)
     algorithm = kv.get("algorithm")
     if algorithm is None:
         raise ConfigError("algorithm is required")
-    seed = _get(kv, "seed", _int, 0)
+    seed = _seed(kv)
     try:
         grid = _resolve_map(kv, seed)
         world = _resolve_world(kv, grid)
-        rewards = RewardConfig(
-            delta1=_get(kv, "reward.delta1", _float, -1.0),
-            delta2=_get(kv, "reward.delta2", _float, -5.0),
-            delta3=_get(kv, "reward.delta3", _float, 100.0),
-        )
+        rewards = RewardConfig(**_kwargs(kv, _REWARD_KEYS))
         params = _resolve_params(kv, algorithm, grid, world)
     except ConfigError:
         raise
@@ -337,9 +347,8 @@ def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
         world=world,
         rewards=rewards,
         params=params,
-        eval_episodes=_get(kv, "eval.episodes", _int, 100),
         seed=seed,
-        timing=kv.get("timing", "wall"),
+        **_kwargs(kv, _RUN_KEYS),
     )
 
 
@@ -393,7 +402,7 @@ def sweep_from_config(kv: Mapping[str, str], axis: str | None = None) -> SweepSp
         axis=resolved,
         values=values,
         algorithms=algos,
-        reps=_get(kv, "sweep.reps", _int, 1),
+        reps=_get(kv, "sweep.reps", int, SweepSpec.reps),
         out=kv.get("sweep.out"),
     )
 
@@ -446,6 +455,8 @@ def run_experiment(
     cfg: ExperimentConfig, rng: np.random.Generator | None = None
 ) -> MetricsReport:
     """Train (or plan) and evaluate one configured experiment."""
+    if cfg.eval_episodes < 1:
+        raise ConfigError("eval.episodes must be >= 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     timing = cfg.timing == "wall"
@@ -489,14 +500,9 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _cell_kv(base: Mapping[str, str], spec: SweepSpec, algo: str, value: int, rep: int) -> dict[str, str]:
-    kv = dict(base)
-    kv.pop("sweep.axis", None)
-    kv.pop("sweep.values", None)
-    kv.pop("sweep.algorithms", None)
-    kv.pop("sweep.reps", None)
-    kv.pop("sweep.out", None)
+    kv = {k: v for k, v in base.items() if not k.startswith("sweep.")}
     kv["algorithm"] = algo
-    master = int(kv.get("seed", "0"))
+    master = _seed(kv)
     if spec.axis == "grid_size":
         if "map.file" in kv:
             raise ConfigError("grid_size sweeps generate maps; map.file is not allowed")
@@ -514,30 +520,26 @@ def _cell_kv(base: Mapping[str, str], spec: SweepSpec, algo: str, value: int, re
     return kv
 
 
-def _format_report(rep: MetricsReport) -> list[str]:
-    return [
-        f"{rep.mean_path_length:.6f}",
-        f"{rep.success_rate:.6f}",
-        f"{rep.min_agent_success_rate:.6f}",
-        f"{rep.expected_min_obstacle_distance:.6f}",
-        str(rep.policy_updates),
-        f"{rep.train_time:.6f}",
-        f"{rep.run_time:.6f}",
-    ]
+def _format_report(rep: MetricsReport) -> dict[str, str]:
+    """Report column -> formatted value, in column order."""
+    return {
+        column: format(getattr(rep, field), spec)
+        for column, (field, spec) in _REPORT_COLUMNS.items()
+    }
 
 
 def _run_cell(
     base: Mapping[str, str], spec: SweepSpec, algo: str, value: int, rep: int
 ) -> tuple[list[str], MetricsReport | None]:
-    master = int(base.get("seed", "0"))
+    master = _seed(base)
     run_seed = _derive_seed(master, _ALGO_CODE[algo], _AXIS_CODE[spec.axis], value, rep)
     head = [algo, spec.axis, str(value), str(rep), str(run_seed)]
     try:
         cfg = experiment_from_config(_cell_kv(base, spec, algo, value, rep))
         report = run_experiment(cfg, np.random.default_rng(run_seed))
     except Exception as exc:
-        return head + [""] * 7 + [f"error:{type(exc).__name__}"], None
-    return head + _format_report(report) + ["ok"], report
+        return head + [""] * len(_REPORT_COLUMNS) + [f"error:{type(exc).__name__}"], None
+    return head + list(_format_report(report).values()) + ["ok"], report
 
 
 def run_sweep(
@@ -558,34 +560,16 @@ def run_sweep(
     ]
     outcomes = [_run_cell(base, spec, a, v, r) for a, v, r in jobs]
 
-    paired = sorted(
-        zip(jobs, outcomes), key=lambda jr: (jr[0][0], jr[0][1], jr[0][2])
-    )
+    paired = sorted(zip(jobs, outcomes), key=lambda jr: jr[0])
     lines = [CSV_HEADER] + [",".join(row) for (_, (row, _)) in paired]
 
     summary_lines = [SUMMARY_HEADER]
-    cells: dict[tuple[str, int], list[MetricsReport]] = {}
-    for (algo, value, _rep), (_row, report) in paired:
-        cells.setdefault((algo, value), [])
-        if report is not None:
-            cells[(algo, value)].append(report)
-    for (algo, value) in sorted(cells):
-        reports = cells[(algo, value)]
+    for (algo, value), cell in groupby(paired, key=lambda jr: jr[0][:2]):
+        reports = [report for _job, (_row, report) in cell if report is not None]
         n_ok = len(reports)
-        if n_ok == 0:
-            summary_lines.append(f"{algo},{spec.axis},{value},0,,,,,,,")
-            continue
         means = [
-            sum(r.mean_path_length for r in reports) / n_ok,
-            sum(r.success_rate for r in reports) / n_ok,
-            sum(r.min_agent_success_rate for r in reports) / n_ok,
-            sum(r.expected_min_obstacle_distance for r in reports) / n_ok,
-            sum(r.policy_updates for r in reports) / n_ok,
-            sum(r.train_time for r in reports) / n_ok,
-            sum(r.run_time for r in reports) / n_ok,
+            f"{sum(getattr(r, field) for r in reports) / n_ok:.6f}" if n_ok else ""
+            for field, _spec in _REPORT_COLUMNS.values()
         ]
-        summary_lines.append(
-            f"{algo},{spec.axis},{value},{n_ok},"
-            + ",".join(f"{m:.6f}" for m in means)
-        )
+        summary_lines.append(",".join([algo, spec.axis, str(value), str(n_ok), *means]))
     return "\n".join(lines) + "\n", "\n".join(summary_lines) + "\n"

@@ -15,10 +15,10 @@ import numpy as np
 from . import egt as _egt
 from .bench import (
     ConfigError,
-    _float,
-    _get,
-    _int,
+    _ess_kwargs,
+    _format_report,
     _resolve_map,
+    _seed,
     _train_learner,
     experiment_from_config,
     parse_config,
@@ -68,8 +68,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_gen_map(args) -> int:
     kv = _load_kv(args)
-    seed = int(kv.get("seed", "0"))
-    grid = _resolve_map(kv, seed)
+    grid = _resolve_map(kv, _seed(kv))
     _emit(grid.to_text(), args.out)
     return 0
 
@@ -90,16 +89,9 @@ def _cmd_eval(args) -> int:
     kv = _load_kv(args)
     cfg = experiment_from_config(kv)
     report = run_experiment(cfg)
-    lines = [
-        f"mean_path_length={report.mean_path_length:.6f}",
-        f"mean_path_length_is_fallback={str(report.mean_path_length_is_fallback).lower()}",
-        f"success_rate={report.success_rate:.6f}",
-        f"min_agent_success_rate={report.min_agent_success_rate:.6f}",
-        f"expected_min_obstacle_distance={report.expected_min_obstacle_distance:.6f}",
-        f"policy_updates={report.policy_updates}",
-        f"train_time_s={report.train_time:.6f}",
-        f"run_time_s={report.run_time:.6f}",
-    ]
+    lines = [f"{column}={value}" for column, value in _format_report(report).items()]
+    fallback = str(report.mean_path_length_is_fallback).lower()
+    lines.insert(1, f"mean_path_length_is_fallback={fallback}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -132,17 +124,9 @@ def _cmd_ess_test(args) -> int:
     cfg = experiment_from_config(kv)
     if cfg.algorithm != "egt":
         raise ConfigError("ess-test requires algorithm=egt")
-    p_new = _get(kv, "ess.p_new", _float, 0.1)
-    extra = _get(kv, "ess.extra_fraction", _float, 0.1)
-    eval_episodes = _get(kv, "ess.eval_episodes", _int, 200)
-    threshold = _get(kv, "ess.agreement_threshold", _float, 0.95)
-    tolerance = _get(kv, "ess.fitness_tolerance", _float, 0.05)
-    rng = np.random.default_rng(cfg.seed)
     report = _egt.ess_test(
-        cfg.grid, cfg.world, cfg.params, cfg.rewards, p_new, extra, rng,
-        eval_episodes=eval_episodes,
-        agreement_threshold=threshold,
-        fitness_tolerance=tolerance,
+        cfg.grid, cfg.world, cfg.params, cfg.rewards,
+        rng=np.random.default_rng(cfg.seed), **_ess_kwargs(kv),
     )
     lines = [
         f"p_new={report.p_new:.6f}",

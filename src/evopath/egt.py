@@ -96,23 +96,18 @@ class CounterTable:
 
     def get(self, cell: Cell, action: Action) -> int | None:
         """Counter value, or None while the entry is undefined."""
-        cid = self._checked_id(cell)
+        cid = self.grid._free_id(cell)
         if not self._defined[cid, int(action)]:
             return None
         return int(self._values[cid, int(action)])
 
     def add(self, cell: Cell, action: Action, delta: int) -> int:
         """Add delta to the entry (defining it if needed); returns the new value."""
-        cid = self._checked_id(cell)
+        cid = self.grid._free_id(cell)
         a = int(action)
         self._defined[cid, a] = True
         self._values[cid, a] += int(delta)
         return int(self._values[cid, a])
-
-    def _checked_id(self, cell: Cell) -> int:
-        if not self.grid.is_free(cell):
-            raise InvalidStateError(f"cell {cell} is not a free in-bounds cell")
-        return self.grid.cell_id(cell)
 
     def n_defined(self) -> int:
         return int(self._defined.sum())
@@ -152,7 +147,7 @@ class CounterTable:
                 raise ValueError(f"counter snapshot line {lineno}: expected 4 fields")
             x, y, name, value = parts
             cell = (int(x), int(y))
-            cid = table._checked_id(cell)
+            cid = table.grid._free_id(cell)
             a = int(action_from_name(name))
             table._defined[cid, a] = True
             table._values[cid, a] = int(value)
@@ -370,7 +365,7 @@ def apply_update(
     s_ids = []
     a_ids = []
     for cell, action in tau.steps:
-        s_ids.append(table._checked_id(cell))
+        s_ids.append(table.grid._free_id(cell))
         a_ids.append(int(action))
     stats = TrainingStats()
     touched = _apply_update_ids(

@@ -141,6 +141,19 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _reach(goals: Iterable[Cell], is_free: Callable[[Cell], bool]) -> set[Cell]:
+    """The goals plus every cell joined to one by 4-neighbour steps through free cells."""
+    seen = set(goals)
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        for nxt in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+            if nxt not in seen and is_free(nxt):
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 class GridMap:
     """Immutable rectangular grid with obstacles, goals and a start distribution.
 
@@ -194,22 +207,10 @@ class GridMap:
         total = sum(self.starts.values())
         if abs(total - 1.0) > 1e-9:
             raise MapError(f"start probabilities sum to {total!r}, not 1")
-        reach = self._cells_reaching_goals()
+        reach = _reach(self.goals, self.is_free)
         for c in self.starts:
             if c not in reach:
                 raise DisconnectedMapError(f"start {c} cannot reach any goal")
-
-    def _cells_reaching_goals(self) -> set[Cell]:
-        seen = set(self.goals)
-        queue = deque(self.goals)
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-                nxt = (x + dx, y + dy)
-                if nxt not in seen and self.is_free(nxt):
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
 
     # -- basic queries ------------------------------------------------------
 
@@ -238,11 +239,15 @@ class GridMap:
             if (x, y) not in self.obstacles
         )
 
-    def obstacle_clearance(self, cell: Cell) -> int:
-        """Manhattan distance to the nearest obstacle or out-of-bounds cell."""
+    def _free_id(self, cell: Cell) -> int:
+        """Id of a free in-bounds cell; InvalidStateError for any other cell."""
         if not self.is_free(cell):
             raise InvalidStateError(f"cell {cell} is not a free in-bounds cell")
-        return int(self._clearance[self.cell_id(cell)])
+        return self.cell_id(cell)
+
+    def obstacle_clearance(self, cell: Cell) -> int:
+        """Manhattan distance to the nearest obstacle or out-of-bounds cell."""
+        return int(self._clearance[self._free_id(cell)])
 
     # -- cached lookup tables -----------------------------------------------
 
@@ -390,10 +395,8 @@ def parse_map(text: str) -> GridMap:
 
 def permissible_actions(grid: GridMap, cell: Cell) -> set[Action]:
     """Actions whose target cell is free (Stay is always included)."""
-    if not grid.is_free(cell):
-        raise InvalidStateError(f"cell {cell} is not a free in-bounds cell")
     perm, _ = grid._perm_target
-    return {Action(a) for a in np.flatnonzero(perm[grid.cell_id(cell)])}
+    return {Action(a) for a in np.flatnonzero(perm[grid._free_id(cell)])}
 
 
 # -- stepping ---------------------------------------------------------------
@@ -494,6 +497,8 @@ def step(
     """
     if len(actions) != len(cells):
         raise ValueError("cells and actions must have the same length")
+    if frozen is not None and len(frozen) != len(cells):
+        raise ValueError("cells and frozen must have the same length")
     if action_noise > 0.0 and rng is None:
         raise ValueError("action_noise > 0 requires an rng")
     ids = []

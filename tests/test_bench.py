@@ -5,14 +5,23 @@ import pytest
 
 import numpy as np
 
+from evopath import egt
 from evopath.baselines import LearnParams, astar_plan
 from evopath.bench import (
     CSV_HEADER,
     SUMMARY_HEADER,
+    _EGT_KEYS,
+    _ESS_KEYS,
+    _KNOWN_KEYS,
+    _LEARN_KEYS,
+    _REWARD_KEYS,
+    _RUN_KEYS,
+    _WORLD_KEYS,
     ConfigError,
     ExperimentConfig,
     GenerationError,
     SweepSpec,
+    _ess_kwargs,
     _plan_record,
     default_episode_budget,
     default_horizon,
@@ -209,18 +218,53 @@ def test_bad_experiment_configs_are_rejected(text):
 
 
 
+def test_known_keys_are_pinned():
+    assert _KNOWN_KEYS == {
+        "algorithm", "seed", "timing",
+        "eval.episodes",
+        "map.file", "map.width", "map.height", "map.density",
+        "map.starts", "map.goals", "map.seed",
+        "world.agents", "world.horizon", "world.noise",
+        "reward.delta1", "reward.delta2", "reward.delta3",
+        "egt.eta", "egt.alpha", "egt.beta", "egt.nu", "egt.mu",
+        "egt.epsilon", "egt.episodes", "egt.reconstruct_interval", "egt.mode",
+        "learn.rate", "learn.discount", "learn.explore", "learn.explore_end",
+        "learn.explore_decay", "learn.episodes", "learn.time_budget_s",
+        "sweep.axis", "sweep.values", "sweep.algorithms", "sweep.reps", "sweep.out",
+        "ess.p_new", "ess.extra_fraction", "ess.eval_episodes",
+        "ess.agreement_threshold", "ess.fitness_tolerance",
+    }
+
+
+# every int and float key of the key tables, with a value its parser rejects
+_TABLE_BAD_VALUES = [
+    (key, "2.5" if parse is int else "abc", "qlearn" if table is _LEARN_KEYS else "egt")
+    for table in (_WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS, _LEARN_KEYS, _ESS_KEYS)
+    for key, (_name, parse) in table.items()
+    if parse in (int, float)
+]
+
+
 @pytest.mark.parametrize(
     "key, value, algorithm",
     [
         ("map.starts", "many", "egt"),
         ("learn.explore_decay", "abc", "qlearn"),
         ("learn.time_budget_s", "soon", "mc"),
+        ("seed", "abc", "egt"),
+        ("world.horizon", "2.5", "egt"),
+        ("egt.episodes", "2.5", "egt"),
+        ("learn.episodes", "2.5", "mc"),
+        ("ess.p_new", "abc", "egt"),
+        ("ess.extra_fraction", "abc", "egt"),
+        *_TABLE_BAD_VALUES,
     ],
 )
 def test_bad_values_are_reported_with_their_key(key, value, algorithm):
-    text = f"algorithm={algorithm}\nmap.width=4\nmap.height=4\n{key}={value}\n"
+    kv = parse_config_text(f"algorithm={algorithm}\nmap.width=4\nmap.height=4\n{key}={value}\n")
     with pytest.raises(ConfigError, match=f"^bad value for {key}: '{value}'"):
-        experiment_from_config(parse_config_text(text))
+        experiment_from_config(kv)
+        _ess_kwargs(kv)  # the ess.* keys are read by the ess-test command
 
 
 def test_missing_map_file_reports_a_config_error(tmp_path):
@@ -312,12 +356,15 @@ def test_astar_reports_zero_policy_updates(tmp_path):
     assert report.success_rate == 1.0
 
 
-def test_zero_evaluation_episodes_is_an_error():
+def test_zero_evaluation_episodes_is_an_error(monkeypatch):
     cfg = experiment_from_config(
         kv("algorithm=egt\nmap.width=4\nmap.height=4\negt.episodes=20\neval.episodes=0\n")
     )
+    trained = []
+    monkeypatch.setattr(egt, "train", lambda *args: trained.append(args))
     with pytest.raises(ValueError):
         run_experiment(cfg)
+    assert trained == []
 
 
 def test_run_experiment_is_deterministic_with_timing_off():

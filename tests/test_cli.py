@@ -185,6 +185,18 @@ def test_ess_test_reports_a_bad_value_by_its_key(cfg_file, capsys, key, value):
 # -- error surface ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command, text", [
+    ("gen-map", GEN_CFG),
+    ("sweep-agents", SWEEP_CFG.replace("seed=9\n", "")),
+    ("eval", EGT_CFG),
+], ids=["gen-map", "sweep-agents", "eval"])
+def test_a_bad_seed_is_reported_by_its_key(cfg_file, tmp_path, capsys, command, text):
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg_file(text + "seed=abc\n"), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: bad value for seed: 'abc' (")
+
+
 def test_missing_config_file_yields_a_machine_readable_error(capsys):
     assert main(["eval", "--config", "/nonexistent/exp.cfg"]) == 1
     err = capsys.readouterr().err

@@ -256,6 +256,13 @@ def test_step_frozen_consumes_no_randomness():
     assert out1.next_cells[0] == (0, 0)
 
 
+@pytest.mark.parametrize("frozen", [[True], [False, False, True]])
+def test_step_rejects_frozen_flags_of_another_length(frozen):
+    g = small()
+    with pytest.raises(ValueError, match="frozen"):
+        step(g, [(0, 0), (0, 2)], [Action.STAY, Action.RIGHT], frozen=frozen)
+
+
 def test_step_noise_uses_permissible_actions_only():
     g = small()
     rng = np.random.default_rng(0)
