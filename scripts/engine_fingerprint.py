@@ -21,7 +21,12 @@ covers:
 - the output of the CLI's gen-map, eval, train (snapshot and counts, not
   train_time_s) and ess-test on an egt config (2 agents, noise 0.1) and a
   qlearn config (learn.episodes = auto, a reward.delta2 override), and the
-  eval and ess-test error line for every known config key set to "abc".
+  eval and ess-test error line for every known config key set to "abc";
+- apply_update results and tables, fitness and success_update_probability
+  over fuzzed trajectories (empty ones, loops, decrements, off-map cells and
+  stretches below 1, with their error text);
+- the _perm_target and _perm_choices arrays of generated maps from 1 x k
+  and k x 1 up to 100 x 100.
 
 Takes a few minutes on one core.
 """
@@ -39,8 +44,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 from evopath import (  # noqa: E402
-    EGTParams, LearnParams, Policy, RewardConfig, WorldConfig, ess_test, gen_map,
-    mc_train, q_train, rollout, step, train,
+    CounterTable, EGTParams, LearnParams, Policy, RewardConfig, Trajectory, WorldConfig,
+    apply_update, ess_test, fitness, gen_map, mc_train, q_train, rollout, step,
+    success_update_probability, train,
 )
 from evopath import cli  # noqa: E402
 from evopath.bench import _KNOWN_KEYS, parse_config_text, run_sweep, sweep_from_config  # noqa: E402
@@ -176,8 +182,71 @@ def fingerprint_learners(rewards: RewardConfig) -> None:
                 )
 
 
+def outcome(fn, *args) -> str:
+    """repr of fn(*args), or the type and text of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def fuzz_trajectory(grid, rng: np.random.Generator) -> Trajectory:
+    """A random walk from a random free cell; some end on their first cell, some
+    claim a goal they are too short to reach, some step off the map."""
+    cells = grid.free_cells()
+    cur = cells[int(rng.integers(len(cells)))]
+    _, target = grid._perm_target
+    steps = []
+    for _ in range(int(rng.choice([0, 1, 2, 5, 12, 40]))):
+        a = int(rng.integers(5))
+        steps.append((cur, a))
+        cur = grid.id_to_cell(int(target[grid.cell_id(cur), a]))
+    kind = rng.random()
+    if kind < 0.15 and steps:
+        cur = steps[0][0]
+    elif kind < 0.25:
+        cur = cells[int(rng.integers(len(cells)))]
+    elif kind < 0.27:
+        steps.append(((-1, 0), 0))
+    reached = bool(rng.random() < 0.5) or cur in grid.goals
+    return Trajectory(steps, cur, reached)
+
+
+def fingerprint_updates() -> None:
+    rng = np.random.default_rng(41)
+    for k in range(6):
+        grid = gen_map(9, 7, 0.2, None, 2, 500 + k)
+        params = EGTParams(eta=float(rng.choice([1.0, 1.5, 2.0])), alpha=float(rng.choice([1.5, 2.0, 3.0])),
+                           beta=float(rng.choice([1.0, 2.0, 3.0])), nu=int(rng.integers(1, 3)),
+                           mu=int(rng.integers(1, 4)))
+        table = CounterTable(grid)
+        draws = np.random.default_rng(k)
+        parts = []
+        for _ in range(400):
+            tau = fuzz_trajectory(grid, rng)
+            parts.append(outcome(fitness, tau) + outcome(apply_update, table, tau, params, draws))
+        print(f"apply_update map={k} {params}: {digest(''.join(parts))} "
+              f"table {digest(table.to_text())} next {draws.random()!r}")
+    u = np.concatenate([[0.5, 0.999, 1.0, 1.5, 2.0, np.inf], 1.0 + rng.exponential(0.4, 500)])
+    for eta in (1.0, 1.5, 2.0):
+        for alpha in (1.1, 1.5, 2.0, 3.0, 7.5):
+            text = "".join(outcome(success_update_probability, float(x), eta, alpha) for x in u)
+            print(f"success_update_probability eta={eta} alpha={alpha}: {digest(text)}")
+
+
+def fingerprint_perm_tables() -> None:
+    for w, h, density in ((1, 2, 0.0), (1, 9, 0.2), (9, 1, 0.2), (1, 40, 0.0), (40, 1, 0.1),
+                          (7, 5, 0.3), (20, 20, 0.2), (33, 17, 0.4), (100, 100, 0.2)):
+        grid = gen_map(w, h, density, None, 1, w * 1000 + h)
+        arrays = (*grid._perm_target, *grid._perm_choices)
+        text = "".join(f"{a.dtype.str}{a.shape}{a.tobytes().hex()}" for a in arrays)
+        print(f"perm tables {w}x{h}: {digest(text)}")
+
+
 def main() -> None:
     rewards = RewardConfig()
+    fingerprint_updates()
+    fingerprint_perm_tables()
     fingerprint_cli()
     fingerprint_rollouts(rewards)
     fingerprint_steps()

@@ -9,6 +9,7 @@ companion per-cell summary CSV.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -160,10 +161,19 @@ def parse_config(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
+def _or(word: str, parse: Callable) -> Callable:
+    """A parser that passes `word` through and parses any other value."""
+    return lambda raw: raw if raw == word else parse(raw)
+
+
 # Each table maps a config key to the keyword it sets and the keyword's parser.
 # A key left out of the config leaves its keyword out, so the target's own
 # default applies.
-_WORLD_KEYS = {"world.agents": ("n_agents", int), "world.noise": ("action_noise", float)}
+_WORLD_KEYS = {
+    "world.agents": ("n_agents", int),
+    "world.horizon": ("horizon", _or("auto", int)),
+    "world.noise": ("action_noise", float),
+}
 _REWARD_KEYS = {f"reward.delta{i}": (f"delta{i}", float) for i in (1, 2, 3)}
 _RUN_KEYS = {"eval.episodes": ("eval_episodes", int), "timing": ("timing", str)}
 _EGT_KEYS = {
@@ -175,6 +185,7 @@ _EGT_KEYS = {
     "egt.epsilon": ("epsilon", float),
     "egt.reconstruct_interval": ("reconstruct_interval", int),
     "egt.mode": ("behavior_mode", str),
+    "egt.episodes": ("episodes", _or("auto", int)),
 }
 _LEARN_KEYS = {
     "learn.rate": ("learning_rate", float),
@@ -183,6 +194,7 @@ _LEARN_KEYS = {
     "learn.explore_end": ("explore_end", float),
     "learn.explore_decay": ("explore_decay_episodes", int),
     "learn.time_budget_s": ("time_budget_s", float),
+    "learn.episodes": ("episodes", _or("auto", int)),
 }
 _ESS_KEYS = {
     "ess.eval_episodes": ("eval_episodes", int),
@@ -190,48 +202,68 @@ _ESS_KEYS = {
     "ess.fitness_tolerance": ("fitness_tolerance", float),
 }
 
-# algorithm -> (parameter class, key table, episode key); astar has no entry
+# algorithm -> (parameter class, key table); astar has no entry
 _LEARNERS = {
-    "egt": (EGTParams, _EGT_KEYS, "egt.episodes"),
-    "mc": (LearnParams, _LEARN_KEYS, "learn.episodes"),
-    "qlearn": (LearnParams, _LEARN_KEYS, "learn.episodes"),
+    "egt": (EGTParams, _EGT_KEYS),
+    "mc": (LearnParams, _LEARN_KEYS),
+    "qlearn": (LearnParams, _LEARN_KEYS),
 }
 
-_GENERATOR_KEYS = (
-    "map.width", "map.height", "map.density", "map.starts", "map.goals", "map.seed",
-)
+_GENERATOR_KEYS = {
+    "map.width": int, "map.height": int, "map.density": float,
+    "map.starts": _or("all", int), "map.goals": int, "map.seed": int,
+}
 
-_KNOWN_KEYS = frozenset().union(
-    _WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS, _LEARN_KEYS, _ESS_KEYS,
-    ("algorithm", "seed", "map.file", *_GENERATOR_KEYS, "world.horizon",
-     "egt.episodes", "learn.episodes", "ess.p_new", "ess.extra_fraction",
-     "sweep.axis", "sweep.values", "sweep.algorithms", "sweep.reps", "sweep.out"),
-)
+# every known key and its value's parser
+_PARSERS = {
+    **{key: parse for table in (_WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS,
+                                _LEARN_KEYS, _ESS_KEYS) for key, (_, parse) in table.items()},
+    **_GENERATOR_KEYS,
+    "algorithm": str, "seed": int, "map.file": str,
+    "ess.p_new": float, "ess.extra_fraction": float,
+    "sweep.axis": str, "sweep.values": lambda raw: tuple(int(v) for v in raw.split(",")),
+    "sweep.algorithms": str, "sweep.reps": int, "sweep.out": str,
+}
+
+_KNOWN_KEYS = frozenset(_PARSERS)
 
 
 def _check_keys(kv: Mapping[str, str]) -> None:
+    """Reject unknown keys, then any value its key's parser rejects."""
     unknown = sorted(set(kv) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key in kv:
+        _get(kv, key)
 
 
-def _get(kv: Mapping[str, str], key: str, parse: Callable, default):
+def _get(kv: Mapping[str, str], key: str, default=None):
+    """The key's value parsed, or default when kv leaves the key out."""
     raw = kv.get(key)
     if raw is None:
         return default
     try:
-        return parse(raw)
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
 
 def _kwargs(kv: Mapping[str, str], table: Mapping[str, tuple[str, Callable]]) -> dict:
     """Keyword arguments for the table's keys that kv sets, parsed."""
-    return {name: _get(kv, key, parse, None) for key, (name, parse) in table.items() if key in kv}
+    return {name: _get(kv, key) for key, (name, _) in table.items() if key in kv}
+
+
+def _build(cls: Callable, table: Mapping[str, tuple[str, Callable]], kwargs: dict):
+    """cls(**kwargs); a failing check names the config key of each field it mentions."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        keys = {name: key for key, (name, _) in table.items()}
+        raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from None
 
 
 def _seed(kv: Mapping[str, str]) -> int:
-    return _get(kv, "seed", int, ExperimentConfig.seed)
+    return _get(kv, "seed", ExperimentConfig.seed)
 
 
 def _ess_kwargs(kv: Mapping[str, str]) -> dict:
@@ -241,8 +273,8 @@ def _ess_kwargs(kv: Mapping[str, str]) -> dict:
     to ess_test's own keyword defaults.
     """
     return {
-        "p_new": _get(kv, "ess.p_new", float, 0.1),
-        "extra_episode_fraction": _get(kv, "ess.extra_fraction", float, 0.1),
+        "p_new": _get(kv, "ess.p_new", 0.1),
+        "extra_episode_fraction": _get(kv, "ess.extra_fraction", 0.1),
         **_kwargs(kv, _ESS_KEYS),
     }
 
@@ -287,22 +319,20 @@ def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
             return parse_map(fh.read())
     if "map.width" not in kv or "map.height" not in kv:
         raise ConfigError("map.file or map.width+map.height is required")
-    width = _get(kv, "map.width", int, None)
-    height = _get(kv, "map.height", int, None)
-    density = _get(kv, "map.density", float, 0.2)
-    area = width * height
-    goals = _get(kv, "map.goals", int, max(1, math.ceil(0.01 * area)))
-    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts", int, None)
-    map_seed = _get(kv, "map.seed", int, default_seed)
+    width = _get(kv, "map.width")
+    height = _get(kv, "map.height")
+    density = _get(kv, "map.density", 0.2)
+    goals = _get(kv, "map.goals", max(1, math.ceil(0.01 * width * height)))
+    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts")
+    map_seed = _get(kv, "map.seed", default_seed)
     return gen_map(width, height, density, starts, goals, map_seed)
 
 
 def _resolve_world(kv: Mapping[str, str], grid: GridMap) -> WorldConfig:
-    if kv.get("world.horizon", "auto") == "auto":
-        horizon = default_horizon(grid.width, grid.height)
-    else:
-        horizon = _get(kv, "world.horizon", int, None)
-    return WorldConfig(horizon=horizon, **_kwargs(kv, _WORLD_KEYS))
+    kwargs = _kwargs(kv, _WORLD_KEYS)
+    if kwargs.get("horizon", "auto") == "auto":
+        kwargs["horizon"] = default_horizon(grid.width, grid.height)
+    return _build(WorldConfig, _WORLD_KEYS, kwargs)
 
 
 def _resolve_params(
@@ -310,13 +340,11 @@ def _resolve_params(
 ) -> EGTParams | LearnParams | None:
     if algorithm not in _LEARNERS:
         return None
-    cls, table, episodes_key = _LEARNERS[algorithm]
+    cls, table = _LEARNERS[algorithm]
     kwargs = _kwargs(kv, table)
-    if kv.get(episodes_key) == "auto":
+    if kwargs.get("episodes") == "auto":
         kwargs["episodes"] = default_episode_budget(grid.width, grid.height, world.n_agents)
-    elif episodes_key in kv:
-        kwargs["episodes"] = _get(kv, episodes_key, int, None)
-    return cls(**kwargs)
+    return _build(cls, table, kwargs)
 
 
 def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
@@ -335,7 +363,7 @@ def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
     try:
         grid = _resolve_map(kv, seed)
         world = _resolve_world(kv, grid)
-        rewards = RewardConfig(**_kwargs(kv, _REWARD_KEYS))
+        rewards = _build(RewardConfig, _REWARD_KEYS, _kwargs(kv, _REWARD_KEYS))
         params = _resolve_params(kv, algorithm, grid, world)
     except ConfigError:
         raise
@@ -387,13 +415,9 @@ def sweep_from_config(kv: Mapping[str, str], axis: str | None = None) -> SweepSp
     resolved = axis or cfg_axis
     if resolved is None:
         raise ConfigError("sweep.axis is required")
-    raw_values = kv.get("sweep.values")
-    if raw_values is None:
+    values = _get(kv, "sweep.values")
+    if values is None:
         raise ConfigError("sweep.values is required")
-    try:
-        values = tuple(int(v.strip()) for v in raw_values.split(","))
-    except ValueError:
-        raise ConfigError(f"bad sweep.values: {raw_values!r}") from None
     raw_algos = kv.get("sweep.algorithms")
     if raw_algos is None:
         raise ConfigError("sweep.algorithms is required")
@@ -402,7 +426,7 @@ def sweep_from_config(kv: Mapping[str, str], axis: str | None = None) -> SweepSp
         axis=resolved,
         values=values,
         algorithms=algos,
-        reps=_get(kv, "sweep.reps", int, SweepSpec.reps),
+        reps=_get(kv, "sweep.reps", SweepSpec.reps),
         out=kv.get("sweep.out"),
     )
 

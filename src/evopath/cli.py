@@ -15,6 +15,7 @@ import numpy as np
 from . import egt as _egt
 from .bench import (
     ConfigError,
+    _check_keys,
     _ess_kwargs,
     _format_report,
     _resolve_map,
@@ -54,6 +55,7 @@ def _load_kv(args) -> dict[str, str]:
     kv = parse_config(args.config)
     if args.seed is not None:
         kv["seed"] = str(args.seed)
+    _check_keys(kv)
     return kv
 
 

@@ -11,7 +11,7 @@ counters ("iterative" mode, the default).
 Training, the invasion test's extra episodes and its fitness evaluation all
 run on one batched kernel that advances every live (episode, agent) pair one
 tick at a time under a fixed behavior policy; train() documents its
-per-episode draw layout and its tick rule.
+per-episode draw layout, its tick rule and its submission rule.
 """
 from __future__ import annotations
 
@@ -49,12 +49,11 @@ class Trajectory:
     reached_goal: bool
 
 
-def _stretch(n_steps: int, displacement: int) -> float:
-    if n_steps == 0:
-        return 1.0
-    if displacement == 0:
-        return WORST_FITNESS
-    return n_steps / displacement
+def _stretches(n_steps, displacement) -> np.ndarray:
+    """fitness, elementwise, from step counts and Manhattan displacements."""
+    n = np.asarray(n_steps, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0, 1.0, n / displacement)
 
 
 def fitness(tau: Trajectory) -> float:
@@ -64,22 +63,26 @@ def fitness(tau: Trajectory) -> float:
     own first cell has no meaningful stretch and scores WORST_FITNESS, which
     compares as +inf everywhere.
     """
-    if not tau.steps:
-        return 1.0
-    return _stretch(len(tau.steps), manhattan(tau.steps[0][0], tau.final))
+    d = manhattan(tau.steps[0][0], tau.final) if tau.steps else 0
+    return float(_stretches(len(tau.steps), d))
 
 
-def success_update_probability(u: float, eta: float, alpha: float) -> float:
+def success_update_probability(u, eta: float, alpha: float):
     """Acceptance probability for a goal-reaching trajectory of stretch u.
 
-    1 - (u - 1)^alpha while u <= eta, then 1/u. Requires u >= 1 (goal-reaching
-    trajectories cannot beat the Manhattan distance).
+    1 - (u - 1)^alpha while u <= eta, then 1/u, elementwise for an array u.
+    Requires u >= 1 (goal-reaching trajectories cannot beat the Manhattan
+    distance).
     """
-    if u < 1.0:
-        raise ValueError(f"stretch factor must be >= 1, got {u}")
-    if u <= eta:
-        return 1.0 - (u - 1.0) ** alpha
-    return 1.0 / u
+    arr = np.array(u, dtype=np.float64, ndmin=1)
+    if (arr < 1.0).any():
+        raise ValueError(f"stretch factor must be >= 1, got {float(arr[arr < 1.0][0])}")
+    p = 1.0 / arr
+    near = arr <= eta
+    # Python's float power, not np.power: numpy's SIMD power can differ from
+    # the C library's pow in the last bit, which would flip acceptance draws
+    p[near] = [1.0 - (x - 1.0) ** alpha for x in arr[near].tolist()]
+    return float(p[0]) if np.ndim(u) == 0 else p.reshape(np.shape(u))
 
 
 class CounterTable:
@@ -308,70 +311,22 @@ class TrainingStats:
     wall_time: float = 0.0
 
 
-def _apply_update_ids(
-    table: CounterTable,
-    s_ids: Sequence[int],
-    a_ids: Sequence[int],
-    final_id: int,
-    reached: bool,
-    params: EGTParams,
-    rng: np.random.Generator,
-    stats: TrainingStats,
-) -> int:
-    """Core update on integer ids; returns the number of distinct pairs touched."""
-    n_steps = len(s_ids)
-    w = table.grid.width
-    if n_steps:
-        first = int(s_ids[0])
-        d = abs(first % w - final_id % w) + abs(first // w - final_id // w)
-    else:
-        d = 0
-    u = _stretch(n_steps, d)
-    if reached:
-        p = success_update_probability(u, params.eta, params.alpha)
-        if not rng.random() < p:
-            return 0
-        delta = params.nu
-    else:
-        if not u >= params.beta:
-            return 0
-        delta = -params.mu
-    if n_steps == 0:
-        return 0
-    s = np.asarray(s_ids, dtype=np.int64)
-    a = np.asarray(a_ids, dtype=np.int64)
-    flat = np.unique(s * N_ACTIONS + a)
-    table._values[flat // N_ACTIONS, flat % N_ACTIONS] += delta
-    table._defined[flat // N_ACTIONS, flat % N_ACTIONS] = True
-    stats.policy_updates += 1
-    return int(flat.size)
-
-
 def apply_update(
     table: CounterTable,
     tau: Trajectory,
     params: EGTParams,
     rng: np.random.Generator,
 ) -> tuple[bool, int]:
-    """Submit one trajectory to the table.
+    """Submit one trajectory to the table, as a batch of one (see train).
 
-    Goal-reaching trajectories increment every visited (state, action) pair by
-    nu when an acceptance draw passes (probability from
-    success_update_probability); failed trajectories with stretch >= beta
-    decrement by mu. Returns (modified, distinct pairs touched). Each distinct
-    pair moves once per submission no matter how often the trajectory repeats
-    it.
+    Returns (modified, distinct pairs touched).
     """
-    s_ids = []
-    a_ids = []
-    for cell, action in tau.steps:
-        s_ids.append(table.grid._free_id(cell))
-        a_ids.append(int(action))
-    stats = TrainingStats()
-    touched = _apply_update_ids(
-        table, s_ids, a_ids, table.grid.cell_id(tau.final),
-        tau.reached_goal, params, rng, stats,
-    )
+    ids = [table.grid._free_id(cell) for cell, _ in tau.steps]
+    final = table.grid.cell_id(tau.final)
+    ep = _Episodes(np.array(ids[:1] or [final]), np.array([final]), np.array([len(ids)]),
+                   np.zeros(1, dtype=np.int64), np.array([ids], dtype=np.int64),
+                   np.array([[a for _, a in tau.steps]], dtype=np.int64))
+    touched = int(_submit(table, params, ep, np.array([tau.reached_goal]), [rng])[0])
     return touched > 0, touched
 
 
@@ -380,6 +335,8 @@ def apply_update(
 _BATCH = 512
 # bound on a batch's draw, trajectory and occupancy buffers
 _BATCH_BYTES = 48_000_000
+# bound on the (trajectories, horizon) temporaries of one _submit slice
+_SUBMIT_CELLS = 1 << 16
 
 
 def _spawn_batches(
@@ -415,6 +372,11 @@ class _Episodes:
     arrival: np.ndarray
     S: np.ndarray
     A: np.ndarray
+
+    def stretches(self, width: int) -> np.ndarray:
+        """Per pair: its trajectory's stretch factor (see fitness)."""
+        f, c = self.first, self.cells
+        return _stretches(self.steps, np.abs(f % width - c % width) + np.abs(f // width - c // width))
 
 
 def _run_episodes(
@@ -519,6 +481,48 @@ def _run_episodes(
     return _Episodes(first, cells, steps, arrival, S, A)
 
 
+def _submit(
+    table: CounterTable,
+    params: EGTParams,
+    ep: _Episodes,
+    won: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Submit every pair of ep by train's submission rule; returns distinct pairs moved per pair.
+
+    won marks the goal-reaching pairs. Pair p draws from rngs[p // N], one
+    generator per episode. A goal-reaching stretch below 1 raises ValueError
+    before anything is drawn or moved.
+    """
+    N = len(ep.first) // len(rngs)
+    u = ep.stretches(table.grid.width)
+    p = success_update_probability(u[won], params.eta, params.alpha)
+    # acceptance draws: per episode, by arrival tick, then by agent
+    q = np.flatnonzero(won)
+    order = np.lexsort((q, ep.arrival[q], q // N))
+    counts = np.bincount(q // N, minlength=len(rngs)).tolist()
+    draws = np.concatenate([np.empty(0)] + [r.random(k) for r, k in zip(rngs, counts) if k])
+    delta = np.where(~won & (u >= params.beta), -params.mu, 0)
+    delta[q[order[draws < p[order]]]] = params.nu
+
+    touched = np.zeros(len(u), dtype=np.int64)
+    moved = np.flatnonzero(delta)
+    T = ep.S.shape[1]
+    K = table._values.size
+    rows = max(1, _SUBMIT_CELLS // max(T, 1))
+    for lo in range(0, len(moved), rows):
+        j = moved[lo:lo + rows]
+        L = ep.steps[j]
+        keys = (ep.S[j] * N_ACTIONS + ep.A[j])[np.arange(T) < L[:, None]]
+        # (trajectory, cell * 5 + action), each distinct one once
+        tk = np.unique(np.repeat(np.arange(len(j)) * K, L) + keys)
+        t, cid, a = tk // K, tk % K // N_ACTIONS, tk % N_ACTIONS
+        np.add.at(table._values, (cid, a), delta[j][t])
+        table._defined[cid, a] = True
+        touched[j] = np.bincount(t, minlength=len(j))
+    return touched
+
+
 def _train_episodes(
     grid: GridMap,
     world: WorldConfig,
@@ -530,22 +534,13 @@ def _train_episodes(
 ) -> None:
     """Run a batch of training episodes and submit every trajectory.
 
-    Submissions go in (episode, arrival tick, agent) order; pairs that never
-    arrive count as arriving at the horizon, and pairs with no steps (started
-    on a goal) submit nothing.
+    Pairs that start on a goal have no steps and draw nothing: they submit
+    as failed, which moves nothing.
     """
-    N = world.n_agents
-    T = world.horizon
     ep = _run_episodes(grid, world, behavior, children)
-    p = np.flatnonzero(ep.steps > 0)
-    p = p[np.argsort(p // N * (T + 1) + ep.arrival[p], kind="stable")]
     reached = grid._goal_mask[ep.cells]
-    for q in p.tolist():
-        L = int(ep.steps[q])
-        _apply_update_ids(
-            table, ep.S[q, :L], ep.A[q, :L], int(ep.cells[q]),
-            bool(reached[q]), params, children[q // N], stats,
-        )
+    touched = _submit(table, params, ep, reached & (ep.steps > 0), children)
+    stats.policy_updates += int(np.count_nonzero(touched))
     stats.episodes_run += len(children)
     stats.goal_reach_count += int(reached.sum())
 
@@ -567,18 +562,25 @@ def train(
     in this order: the start cells of all N agents; a (T, N) block of action
     uniforms; with action noise, a (T, N) block of noise coins and then a
     (T, N) block of noise picks; then one acceptance draw per submitted
-    goal-reaching trajectory, in submission order. In ess_test's extra
-    episodes every child first draws its invader coin.
+    goal-reaching trajectory, in submission order: by arrival tick, ties by
+    agent index. In ess_test's extra episodes every child first draws its
+    invader coin.
 
     Tick rule. Agent i samples its action from the behavior row of its cell
     at the start of the tick (noise coin below action_noise: a uniform pick
     among the cell's permissible actions instead). Agents then move in
     ascending index order: a move into a cell that is occupied at the
     agent's turn is blocked, which also blocks both ends of a swap. An agent
-    that reaches a goal freezes there and keeps blocking its cell. Within an
-    episode trajectories are submitted by arrival tick, ties by agent index;
-    agents still out at the horizon submit last, in index order, and agents
-    that start on a goal submit nothing.
+    that reaches a goal freezes there and keeps blocking its cell.
+
+    Submission rule. A goal-reaching trajectory of stretch u (fitness) is
+    accepted when its draw is below success_update_probability(u) and then
+    adds nu to each distinct (cell, action) pair it visited; a failed one
+    with u >= beta adds -mu to each. Agents that start on a goal submit
+    nothing. A batch's trajectories are submitted together once it has run:
+    its behavior policy is fixed, acceptance depends only on the stretch and
+    the trajectory's own draw, and deltas add, so the order of the updates
+    cannot change the table. apply_update submits a batch of one.
     """
     del reward_cfg
     t0 = time.perf_counter()
@@ -617,15 +619,10 @@ def _evaluate_fitness(
     any trajectory can attain, so degenerate loops cannot drag the mean to
     -inf.
     """
-    T = world.horizon
-    w = grid.width
-    total = 0.0
-    for children in _spawn_batches(rng, episodes, world, grid):
-        ep = _run_episodes(grid, world, policy, children)
-        d = np.abs(ep.first % w - ep.cells % w) + np.abs(ep.first // w - ep.cells // w)
-        for n_steps, dist in zip(ep.steps.tolist(), d.tolist()):
-            total += -min(_stretch(n_steps, dist), float(T))
-    return total / (episodes * world.n_agents)
+    u = np.concatenate([_run_episodes(grid, world, policy, children).stretches(grid.width)
+                        for children in _spawn_batches(rng, episodes, world, grid)])
+    # cumsum adds in (episode, agent) order, as a running total would
+    return float(np.cumsum(-np.minimum(u, float(world.horizon)))[-1]) / (episodes * world.n_agents)
 
 
 @dataclass(frozen=True)

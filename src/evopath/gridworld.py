@@ -268,31 +268,24 @@ class GridMap:
     @cached_property
     def _perm_target(self) -> tuple[np.ndarray, np.ndarray]:
         """(permissible (n,5) bool, target id (n,5) int32); Stay always allowed."""
-        n = self.n_cells
-        perm = np.zeros((n, N_ACTIONS), dtype=bool)
-        target = np.empty((n, N_ACTIONS), dtype=np.int32)
-        for cid in range(n):
-            cell = self.id_to_cell(cid)
-            for a in ACTIONS:
-                dx, dy = _DELTAS[a]
-                nxt = (cell[0] + dx, cell[1] + dy)
-                if a is Action.STAY or self.is_free(nxt):
-                    perm[cid, a] = True
-                    target[cid, a] = self.cell_id(nxt)
-                else:
-                    target[cid, a] = cid
-        return perm, target
+        ids = np.arange(self.n_cells)
+        dx, dy = np.array([_DELTAS[a] for a in ACTIONS]).T
+        x = ids[:, None] % self.width + dx
+        y = ids[:, None] // self.width + dy
+        inside = (0 <= x) & (x < self.width) & (0 <= y) & (y < self.height)
+        nxt = np.where(inside, y * self.width + x, 0)
+        perm = inside & self._free_mask[nxt]
+        perm[:, Action.STAY] = True
+        return perm, np.where(perm, nxt, ids[:, None]).astype(np.int32)
 
     @cached_property
     def _perm_choices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell: permissible actions padded to width 5, and their count."""
+        """Per cell: permissible actions ascending, zero-padded to width 5, and their count."""
         perm, _ = self._perm_target
         counts = perm.sum(axis=1).astype(np.int64)
-        padded = np.zeros((self.n_cells, N_ACTIONS), dtype=np.int8)
-        for cid in range(self.n_cells):
-            opts = np.flatnonzero(perm[cid])
-            padded[cid, : len(opts)] = opts
-        return padded, counts
+        # a stable sort moves the permissible actions to the front, in order
+        first = np.argsort(~perm, axis=1, kind="stable")
+        return np.where(np.arange(N_ACTIONS) < counts[:, None], first, 0).astype(np.int8), counts
 
     @cached_property
     def _clearance(self) -> np.ndarray:

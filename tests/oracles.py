@@ -3,8 +3,9 @@
 Everything here is deliberately naive: plain BFS over dicts, exhaustive
 double loops, exact fractions. The point is an implementation path disjoint
 from the package internals so that agreement between the two means something.
-The counter-learner episode reference shares only the public start sampler
-and update rule with the package; it steps each agent in a plain loop.
+The counter-learner references share only the public start sampler and
+CounterTable.add with the package; they step each agent and apply each
+update in a plain loop.
 
 Cells are (x, y) tuples. Action codes follow the package's fixed order
 0=up 1=down 2=left 3=right 4=stay with up decreasing y; the deltas are
@@ -52,6 +53,29 @@ def transition(cell, action, width, height, obstacles):
     if not in_bounds(tgt, width, height) or tgt in set(obstacles):
         return cell, True
     return tgt, False
+
+
+def permissible_tables(width, height, obstacles):
+    """Per cell id, by plain loops: permissible flags, target ids, the
+    permissible action codes ascending and zero-padded to five, and their
+    count. Stay is permissible on every cell, obstacles included; an
+    impermissible action targets the agent's own cell.
+    """
+    perm, target, padded, counts = [], [], [], []
+    for cid in range(width * height):
+        cell = (cid % width, cid // width)
+        flags, tgts = [], []
+        for a in range(5):
+            nxt, blocked = transition(cell, a, width, height, obstacles)
+            ok = a == 4 or not blocked
+            flags.append(ok)
+            tgts.append(nxt[1] * width + nxt[0] if ok else cid)
+        allowed = [a for a in range(5) if flags[a]]
+        perm.append(flags)
+        target.append(tgts)
+        padded.append(allowed + [0] * (5 - len(allowed)))
+        counts.append(len(allowed))
+    return perm, target, padded, counts
 
 
 def value_iteration(width, height, obstacles, goals, d1, d2, d3, gamma, tol=1e-9):
@@ -330,43 +354,70 @@ def reference_episode(grid, world, behavior, rng):
     return [(steps[i], cells[i], cells[i] in goals) for i in range(N)], order
 
 
-def reference_train(grid, world, params, table, behavior, children):
-    """Run reference_episode per child and submit with apply_update.
+def reference_stretch(steps, final):
+    """Steps over the Manhattan distance from the first to the final cell.
 
-    Each trajectory goes to the public apply_update in submission order,
-    drawing its acceptance from the episode's child. Returns
-    (episodes, accepted submissions, agents on a goal at the end).
+    1 with no steps, +inf when back on the first cell.
     """
-    from evopath.egt import Trajectory, apply_update
+    if not steps:
+        return 1.0
+    first = steps[0][0]
+    d = abs(first[0] - final[0]) + abs(first[1] - final[1])
+    return len(steps) / d if d else math.inf
+
+
+def reference_update(table, steps, final, reached, params, rng):
+    """One submission of (cell, action-code) steps, written out.
+
+    A goal-reaching trajectory of stretch u draws one rng.random() (even with
+    no steps) and is accepted below 1 - (u - 1)^alpha for u <= eta, else
+    1/u; it then adds nu to each distinct pair. A failed one with u >= beta
+    adds -mu to each distinct pair. Writes through the public
+    CounterTable.add and returns whether any entry moved.
+    """
     from evopath.gridworld import Action
 
+    u = reference_stretch(steps, final)
+    if reached:
+        if u < 1.0:
+            raise ValueError(f"stretch factor must be >= 1, got {u}")
+        p = 1.0 - (u - 1.0) ** params.alpha if u <= params.eta else 1.0 / u
+        if not rng.random() < p:
+            return False
+        delta = params.nu
+    elif u >= params.beta:
+        delta = -params.mu
+    else:
+        return False
+    distinct = {(cell, int(a)) for cell, a in steps}
+    for cell, a in distinct:
+        table.add(cell, Action(a), delta)
+    return bool(distinct)
+
+
+def reference_train(grid, world, params, table, behavior, children):
+    """Run reference_episode per child and submit with reference_update.
+
+    Each trajectory is submitted in submission order, drawing its acceptance
+    from the episode's child. Returns (episodes, accepted submissions,
+    agents on a goal at the end).
+    """
     updates = reached = 0
     for r in children:
         trajectories, order = reference_episode(grid, world, behavior, r)
         for i in order:
             steps, final, ok = trajectories[i]
-            tau = Trajectory([(c, Action(a)) for c, a in steps], final, ok)
-            updates += apply_update(table, tau, params, r)[0]
+            updates += reference_update(table, steps, final, ok, params, r)
         reached += sum(ok for _, _, ok in trajectories)
     return len(children), updates, reached
 
 
 def reference_fitness(grid, world, policy, rng, episodes):
-    """Mean over episodes and agents of -min(stretch, T), summed in that order.
-
-    Stretch is steps over the Manhattan distance from the first to the final
-    cell: 1 with no steps, +inf when back on the first cell.
-    """
+    """Mean over episodes and agents of -min(reference_stretch, T), summed in that order."""
     total = 0.0
     for r in rng.spawn(episodes):
         for steps, final, _ in reference_episode(grid, world, policy, r)[0]:
-            if not steps:
-                stretch = 1.0
-            else:
-                first = steps[0][0]
-                d = abs(first[0] - final[0]) + abs(first[1] - final[1])
-                stretch = len(steps) / d if d else math.inf
-            total += -min(stretch, float(world.horizon))
+            total += -min(reference_stretch(steps, final), float(world.horizon))
     return total / (episodes * world.n_agents)
 
 

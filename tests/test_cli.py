@@ -197,6 +197,30 @@ def test_a_bad_seed_is_reported_by_its_key(cfg_file, tmp_path, capsys, command, 
     assert err.startswith("error: ConfigError: bad value for seed: 'abc' (")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("world.agents", "0", "world.agents must be at least 1"),
+    ("world.horizon", "0", "world.horizon must be at least 1"),
+    ("world.noise", "2", "world.noise must lie in [0, 1]"),
+    ("egt.mode", "abc", "egt.mode must be 'faithful' or 'iterative'"),
+    ("egt.nu", "0", "egt.nu and egt.mu must be positive integers"),
+    ("reward.delta1", "-9", "reward levels must satisfy reward.delta2 < reward.delta1 < 0"),
+    ("learn.rate", "2", "learn.rate must lie in (0, 1]"),
+])
+def test_a_failing_check_names_the_config_key(cfg_file, capsys, key, value, message):
+    text = EGT_CFG.replace("algorithm=egt", "algorithm=qlearn") if key.startswith("learn.") else EGT_CFG
+    text = "".join(line + "\n" for line in text.splitlines() if not line.startswith(f"{key}="))
+    assert main(["eval", "--config", cfg_file(text + f"{key}={value}\n")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
+
+
+@pytest.mark.parametrize("command", ["gen-map", "eval", "train"])
+@pytest.mark.parametrize("key, value", [("ess.p_new", "abc"), ("sweep.reps", "abc"), ("learn.rate", "x")])
+def test_every_key_is_parsed_whether_or_not_the_command_reads_it(cfg_file, capsys, command, key, value):
+    assert main([command, "--config", cfg_file(EGT_CFG + f"{key}={value}\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: bad value for {key}: '{value}'")
+
+
 def test_missing_config_file_yields_a_machine_readable_error(capsys):
     assert main(["eval", "--config", "/nonexistent/exp.cfg"]) == 1
     err = capsys.readouterr().err

@@ -49,8 +49,8 @@ WALLED = "GSSSS\nS#SSS\nSSSSS\nSSS#S\nSSSSG\n"
 
 class AlwaysAccept:
     # stands in for a Generator so acceptance draws never fail
-    def random(self):
-        return 0.0
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
 
 
 def up_run(x, y_from, y_to):
@@ -238,6 +238,27 @@ def test_update_writes_each_distinct_pair_once():
     assert modified and touched == 2
     assert table.get((0, 1), STAY) == 3
     assert table.get((0, 1), UP) == 3
+
+
+def test_update_empty_success_draws_once_and_touches_nothing():
+    table = CounterTable(parse_map(GOAL_TL))
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    twin.random()
+    assert apply_update(table, Trajectory([], (2, 2), True), EGTParams(), rng) == (False, 0)
+    assert table.n_defined() == 0
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_update_sub_one_stretch_raises_and_changes_nothing():
+    # one step cannot cover a displacement of two
+    table = CounterTable(parse_map(GOAL_TL))
+    table.add((0, 2), UP, 4)
+    before = table.to_text()
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    with pytest.raises(ValueError, match="stretch factor must be >= 1, got 0.5"):
+        apply_update(table, Trajectory([((0, 2), UP)], (0, 0), True), EGTParams(), rng)
+    assert table.to_text() == before
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_update_success_then_failure_restores_prior_values():

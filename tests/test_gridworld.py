@@ -29,6 +29,8 @@ from evopath import (
     step,
 )
 
+from evopath.bench import GenerationError, gen_map
+
 import oracles
 
 
@@ -144,6 +146,27 @@ def test_permissible_corner_and_interior():
         Action.RIGHT,
         Action.STAY,
     }
+
+
+def test_permissible_tables_match_plain_loops_on_fuzzed_maps():
+    rng = np.random.default_rng(31)
+    for k in range(120):
+        w, h = (int(v) for v in rng.integers(1, 13, size=2))
+        if k % 4 == 0:
+            w = 1
+        elif k % 4 == 1:
+            h = 1
+        try:
+            grid = gen_map(w, h, float(rng.choice([0.0, 0.2, 0.4])), None, 1, k)
+        except GenerationError:
+            continue
+        perm, target = grid._perm_target
+        padded, counts = grid._perm_choices
+        ref = oracles.permissible_tables(w, h, grid.obstacles)
+        for got, want, dtype in zip((perm, target, padded, counts), ref,
+                                    (bool, np.int32, np.int8, np.int64)):
+            assert got.dtype == dtype
+            assert got.tolist() == want, f"{w}x{h}:\n{grid.to_text()}"
 
 
 def test_permissible_rejects_non_free():
