@@ -26,7 +26,10 @@ covers:
   over fuzzed trajectories (empty ones, loops, decrements, off-map cells and
   stretches below 1, with their error text);
 - the _perm_target and _perm_choices arrays of generated maps from 1 x k
-  and k x 1 up to 100 x 100.
+  and k x 1 up to 100 x 100;
+- astar_plan paths, success flags and expanded counts on crowded instances,
+  with plans where every agent reaches a goal digested apart from plans
+  with a failing agent, and a failing agent's path apart from the rest.
 
 Takes a few minutes on one core.
 """
@@ -45,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from evopath import (  # noqa: E402
     CounterTable, EGTParams, LearnParams, Policy, RewardConfig, Trajectory, WorldConfig,
-    apply_update, ess_test, fitness, gen_map, mc_train, q_train, rollout, step,
+    apply_update, astar_plan, ess_test, fitness, gen_map, mc_train, q_train, rollout, step,
     success_update_probability, train,
 )
 from evopath import cli  # noqa: E402
@@ -243,8 +246,43 @@ def fingerprint_perm_tables() -> None:
         print(f"perm tables {w}x{h}: {digest(text)}")
 
 
+def fingerprint_plans() -> None:
+    rng = np.random.default_rng(61)
+    # (side, goals, agent-count range); the 30 x 30 case is sweep-noisy's cell shape
+    cases = ((6, 2, (2, 5)), (10, 3, (2, 7)), (16, 4, (2, 9)), (30, 9, (8, 11)))
+    for size, n_goals, agents in cases:
+        parts: dict[str, list[str]] = {
+            "all-succeed paths": [], "all-succeed expanded": [],
+            "with-failure success and successful paths": [],
+            "with-failure failed paths": [], "with-failure expanded": [],
+        }
+        counts = {"all-succeed": 0, "with-failure": 0}
+        for k in range(30 if size < 30 else 6):
+            grid = gen_map(size, size, 0.2, None, n_goals, 600 + 100 * size + k)
+            cells = list(grid.starts)
+            n = min(len(cells), int(rng.integers(agents[0], agents[1] + 1)))
+            starts = [cells[j] for j in rng.permutation(len(cells))[:n]]
+            res = astar_plan(grid, starts, 4 * size)
+            kind = "all-succeed" if all(res.success) else "with-failure"
+            counts[kind] += 1
+            parts[f"{kind} expanded"].append(f"{res.expanded};")
+            if kind == "all-succeed":
+                parts["all-succeed paths"].append(repr(res.paths))
+                continue
+            kept = [p if ok else None for p, ok in zip(res.paths, res.success)]
+            parts["with-failure success and successful paths"].append(repr((res.success, kept)))
+            parts["with-failure failed paths"].append(
+                repr([p for p, ok in zip(res.paths, res.success) if not ok])
+            )
+        print(f"plans {size}x{size}: {counts['all-succeed']} all-succeed, "
+              f"{counts['with-failure']} with-failure")
+        for name, texts in parts.items():
+            print(f"plan {size}x{size} {name}: {digest(''.join(texts))}")
+
+
 def main() -> None:
     rewards = RewardConfig()
+    fingerprint_plans()
     fingerprint_updates()
     fingerprint_perm_tables()
     fingerprint_cli()

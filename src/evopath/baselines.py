@@ -174,12 +174,13 @@ class PlanResult:
     """Planned paths, one per agent, timestep-indexed from t=0 (waits included).
 
     A successful path ends on a goal cell; the agent is assumed to hold its
-    final cell afterwards (the planner reserves that tail). A failed path may
-    end before the horizon when earlier agents' reservations leave it no
-    conflict-free continuation (a cornered agent); it is conflict-free over
-    the timesteps it covers, and its last cell is still reserved onward so
-    later agents keep clear. expanded counts search-node expansions summed
-    over agents.
+    final cell afterwards (the planner reserves that tail). A failed path
+    survives as long as it can: it ends at the deepest timestep reachable
+    around earlier agents' reservations, on that timestep's lowest cell id,
+    which is before the horizon when the agent is cornered. It is
+    conflict-free over the timesteps it covers, and its last cell is still
+    reserved onward so later agents keep clear. expanded counts A* heap
+    pops summed over agents.
     """
 
     paths: tuple[tuple[Cell, ...], ...]
@@ -234,10 +235,12 @@ def _plan_one(
 
     Searches the time-layered graph for a minimum-time path to a goal cell at
     which the agent can park until the horizon without hitting a reservation.
-    If no goal is reachable, falls back to the longest conflict-free survival
-    path (success False). Returns (path of cell ids, success, expansions).
+    A search that finds none has put every reachable (cell, t) state into
+    parents, so the agent instead survives as long as it can: the path ends
+    at the deepest reachable timestep, on that timestep's lowest cell id,
+    along the parent links A* recorded (success False). Returns (path of
+    cell ids, success, A* heap pops).
     """
-    perm = grid._perm_list
     target = grid._target_list
     goal = grid._goal_list
     expanded = 0
@@ -246,23 +249,18 @@ def _plan_one(
         return all((cid, tt) not in vres for tt in range(t + 1, horizon + 1))
 
     heap: list[tuple[int, int, int]] = [(int(h[start_id]), 0, start_id)]
+    # filled on push, so each state enters the heap once
     parents: dict[tuple[int, int], int] = {(start_id, 0): -1}
-    closed: set[tuple[int, int]] = set()
     while heap:
         f, t, cid = heapq.heappop(heap)
-        if (cid, t) in closed:
-            continue
-        closed.add((cid, t))
         expanded += 1
         if goal[cid] and can_park(cid, t):
             return _reconstruct(parents, (cid, t)), True, expanded
         if t == horizon:
             continue
         nt = t + 1
-        for a in range(N_ACTIONS):
-            if not perm[cid][a]:
-                continue
-            nxt = target[cid][a]
+        # an impermissible action targets its own cell, as Stay does
+        for nxt in target[cid]:
             if (nxt, nt) in parents:
                 continue
             if (nxt, nt) in vres:
@@ -272,32 +270,9 @@ def _plan_one(
             parents[(nxt, nt)] = cid
             heapq.heappush(heap, (nt + int(h[nxt]), nt, nxt))
 
-    # No parkable goal: survive as long as possible (breadth first by layer).
-    parents = {(start_id, 0): -1}
-    frontier = [start_id]
-    best = (start_id, 0)
-    for t in range(horizon):
-        nt = t + 1
-        nxt_frontier = []
-        for cid in frontier:
-            for a in range(N_ACTIONS):
-                if not perm[cid][a]:
-                    continue
-                nxt = target[cid][a]
-                if (nxt, nt) in parents:
-                    continue
-                if (nxt, nt) in vres:
-                    continue
-                if nxt != cid and (nxt, cid, t) in eres:
-                    continue
-                parents[(nxt, nt)] = cid
-                nxt_frontier.append(nxt)
-        expanded += len(frontier)
-        if not nxt_frontier:
-            break
-        frontier = nxt_frontier
-        best = (min(frontier), nt)
-    return _reconstruct(parents, best), False, expanded
+    deepest = max(t for _cid, t in parents)
+    end = min(cid for cid, t in parents if t == deepest)
+    return _reconstruct(parents, (end, deepest)), False, expanded
 
 
 def astar_plan(grid: GridMap, starts: list[Cell], horizon: int) -> PlanResult:
@@ -306,7 +281,9 @@ def astar_plan(grid: GridMap, starts: list[Cell], horizon: int) -> PlanResult:
     Agents are planned in ascending index order. Each finished plan reserves
     its vertices (cell, t), its traversed edges, and a parked tail on its
     final cell through the horizon, so later agents cannot collide or swap
-    with earlier ones. h = Manhattan distance to the nearest goal cell.
+    with earlier ones. h = Manhattan distance to the nearest goal cell. An
+    agent with no goal it can park on gets the survival path `_plan_one`
+    describes and success False. expanded counts A* heap pops only.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

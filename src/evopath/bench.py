@@ -197,6 +197,8 @@ _LEARN_KEYS = {
     "learn.episodes": ("episodes", _or("auto", int)),
 }
 _ESS_KEYS = {
+    "ess.p_new": ("p_new", float),
+    "ess.extra_fraction": ("extra_episode_fraction", float),
     "ess.eval_episodes": ("eval_episodes", int),
     "ess.agreement_threshold": ("agreement_threshold", float),
     "ess.fitness_tolerance": ("fitness_tolerance", float),
@@ -210,17 +212,19 @@ _LEARNERS = {
 }
 
 _GENERATOR_KEYS = {
-    "map.width": int, "map.height": int, "map.density": float,
-    "map.starts": _or("all", int), "map.goals": int, "map.seed": int,
+    "map.width": ("width", int),
+    "map.height": ("height", int),
+    "map.density": ("density", float),
+    "map.starts": ("n_starts", lambda raw: None if raw == "all" else int(raw)),
+    "map.goals": ("n_goals", int),
+    "map.seed": ("seed", int),
 }
 
 # every known key and its value's parser
 _PARSERS = {
-    **{key: parse for table in (_WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS,
-                                _LEARN_KEYS, _ESS_KEYS) for key, (_, parse) in table.items()},
-    **_GENERATOR_KEYS,
+    **{key: parse for table in (_WORLD_KEYS, _REWARD_KEYS, _RUN_KEYS, _EGT_KEYS, _LEARN_KEYS,
+                                _ESS_KEYS, _GENERATOR_KEYS) for key, (_, parse) in table.items()},
     "algorithm": str, "seed": int, "map.file": str,
-    "ess.p_new": float, "ess.extra_fraction": float,
     "sweep.axis": str, "sweep.values": lambda raw: tuple(int(v) for v in raw.split(",")),
     "sweep.algorithms": str, "sweep.reps": int, "sweep.out": str,
 }
@@ -253,10 +257,10 @@ def _kwargs(kv: Mapping[str, str], table: Mapping[str, tuple[str, Callable]]) ->
     return {name: _get(kv, key) for key, (name, _) in table.items() if key in kv}
 
 
-def _build(cls: Callable, table: Mapping[str, tuple[str, Callable]], kwargs: dict):
-    """cls(**kwargs); a failing check names the config key of each field it mentions."""
+def _build(fn: Callable, table: Mapping[str, tuple[str, Callable]], kwargs: dict):
+    """fn(**kwargs); a failing check names the config key of each parameter it mentions."""
     try:
-        return cls(**kwargs)
+        return fn(**kwargs)
     except ValueError as exc:
         keys = {name: key for key, (name, _) in table.items()}
         raise ConfigError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from None
@@ -272,11 +276,7 @@ def _ess_kwargs(kv: Mapping[str, str]) -> dict:
     ess.p_new and ess.extra_fraction default to 0.1; the other keys default
     to ess_test's own keyword defaults.
     """
-    return {
-        "p_new": _get(kv, "ess.p_new", 0.1),
-        "extra_episode_fraction": _get(kv, "ess.extra_fraction", 0.1),
-        **_kwargs(kv, _ESS_KEYS),
-    }
+    return {"p_new": 0.1, "extra_episode_fraction": 0.1, **_kwargs(kv, _ESS_KEYS)}
 
 
 @dataclass(frozen=True)
@@ -319,13 +319,10 @@ def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
             return parse_map(fh.read())
     if "map.width" not in kv or "map.height" not in kv:
         raise ConfigError("map.file or map.width+map.height is required")
-    width = _get(kv, "map.width")
-    height = _get(kv, "map.height")
-    density = _get(kv, "map.density", 0.2)
-    goals = _get(kv, "map.goals", max(1, math.ceil(0.01 * width * height)))
-    starts = None if kv.get("map.starts") == "all" else _get(kv, "map.starts")
-    map_seed = _get(kv, "map.seed", default_seed)
-    return gen_map(width, height, density, starts, goals, map_seed)
+    kwargs = {"density": 0.2, "n_starts": None, "seed": default_seed,
+              **_kwargs(kv, _GENERATOR_KEYS)}
+    kwargs.setdefault("n_goals", max(1, math.ceil(0.01 * kwargs["width"] * kwargs["height"])))
+    return _build(gen_map, _GENERATOR_KEYS, kwargs)
 
 
 def _resolve_world(kv: Mapping[str, str], grid: GridMap) -> WorldConfig:

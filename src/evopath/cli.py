@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import egt as _egt
 from .bench import (
+    _ESS_KEYS,
     ConfigError,
+    _build,
     _check_keys,
     _ess_kwargs,
     _format_report,
@@ -126,10 +129,9 @@ def _cmd_ess_test(args) -> int:
     cfg = experiment_from_config(kv)
     if cfg.algorithm != "egt":
         raise ConfigError("ess-test requires algorithm=egt")
-    report = _egt.ess_test(
-        cfg.grid, cfg.world, cfg.params, cfg.rewards,
-        rng=np.random.default_rng(cfg.seed), **_ess_kwargs(kv),
-    )
+    run = partial(_egt.ess_test, cfg.grid, cfg.world, cfg.params, cfg.rewards,
+                  rng=np.random.default_rng(cfg.seed))
+    report = _build(run, _ESS_KEYS, _ess_kwargs(kv))
     lines = [
         f"p_new={report.p_new:.6f}",
         f"extra_episodes={report.extra_episodes}",

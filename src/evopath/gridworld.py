@@ -306,10 +306,6 @@ class GridMap:
 
     # python-list mirrors for tight sequential loops
     @cached_property
-    def _perm_list(self) -> list[list[bool]]:
-        return self._perm_target[0].tolist()
-
-    @cached_property
     def _target_list(self) -> list[list[int]]:
         return self._perm_target[1].tolist()
 
@@ -427,9 +423,9 @@ def _play(
     early once no agent is active. ids and active are updated in place.
     Returns the number of turns taken, which is the number of record calls.
     """
-    perm = grid._perm_list
     target = grid._target_list
     goal = grid._goal_list
+    stay = int(Action.STAY)
     noisy = noise > 0.0
     if noisy:
         picks, counts = grid._pick_bytes
@@ -448,14 +444,14 @@ def _play(
             a = choose(i, cur)
             if noisy and rand() < noise:
                 a = picks[N_ACTIONS * cur + int(rand() * counts[cur])]
-            blocked_map = not perm[cur][a]
+            tgt = target[cur][a]
+            # only Stay and impermissible actions target their own cell
+            blocked_map = tgt == cur and a != stay
             nxt = cur
-            if not blocked_map:
-                tgt = target[cur][a]
-                if tgt != cur and tgt not in occupied:
-                    occupied.discard(cur)
-                    occupied.add(tgt)
-                    ids[i] = nxt = tgt
+            if tgt != cur and tgt not in occupied:
+                occupied.discard(cur)
+                occupied.add(tgt)
+                ids[i] = nxt = tgt
             record(i, cur, a, nxt, blocked_map)
             turns += 1
             if goal[nxt]:

@@ -15,9 +15,10 @@ import numpy as np
 
 from .egt import Policy, TrainingStats, Trajectory
 from .gridworld import (
-    Action,
+    ACTIONS,
     Cell,
     GridMap,
+    N_ACTIONS,
     RewardConfig,
     WorldConfig,
     _play,
@@ -104,7 +105,8 @@ def rollout(
     N = world.n_agents
     d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
     goal = grid._goal_list
-    cdf = policy._cdf.tolist()
+    # a flat zero-copy view; tolist() would rebuild the table on every call
+    cdf = memoryview(policy._cdf.reshape(-1))
     rand = rng.random
 
     ids = [int(v) for v in _sample_initial_ids(grid, N, rng)]
@@ -114,8 +116,8 @@ def rollout(
 
     def choose(_i: int, cur: int) -> int:
         u = rand()
-        row = cdf[cur]
-        return (row[0] < u) + (row[1] < u) + (row[2] < u) + (row[3] < u)
+        k = N_ACTIONS * cur
+        return (cdf[k] < u) + (cdf[k + 1] < u) + (cdf[k + 2] < u) + (cdf[k + 3] < u)
 
     def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
         s_tr[i].append(cur)
@@ -128,7 +130,7 @@ def rollout(
     w = grid.width
     trajectories = tuple(
         Trajectory(
-            steps=[((s % w, s // w), Action(a)) for s, a in zip(s_tr[i], a_tr[i])],
+            steps=[((s % w, s // w), ACTIONS[a]) for s, a in zip(s_tr[i], a_tr[i])],
             final=(ids[i] % w, ids[i] // w),
             reached_goal=goal[ids[i]],
         )

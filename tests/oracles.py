@@ -205,6 +205,40 @@ def plan_conflicts(paths, success, horizon):
     return found
 
 
+def survival_end(paths, agent, horizon, width, height, obstacles):
+    """Where a prioritized planner leaves an agent that cannot park on a goal.
+
+    Rebuilds the reservations of agents 0 .. agent-1 from their paths: every
+    (cell, t) a path visits, its last cell held from its end through the
+    horizon, and every move it makes, which a later agent may not take in
+    reverse at the same tick. Then walks the (cell, t) layers reachable from
+    the agent's start, one five-action step per tick, until the next layer
+    is empty or the horizon is reached. Returns (cell, t): the deepest
+    non-empty layer and its cell of lowest id y * width + x.
+    """
+    held = set()
+    moves = set()
+    for p in paths[:agent]:
+        for t in range(horizon + 1):
+            held.add((p[min(t, len(p) - 1)], t))
+        for t in range(len(p) - 1):
+            moves.add((p[t], p[t + 1], t))
+    layer = {paths[agent][0]}
+    t = 0
+    while t < horizon:
+        nxt = set()
+        for c in layer:
+            for a in range(5):
+                n, _ = transition(c, a, width, height, obstacles)
+                if (n, t + 1) not in held and (n, c, t) not in moves:
+                    nxt.add(n)
+        if not nxt:
+            break
+        layer = nxt
+        t += 1
+    return min(layer, key=lambda c: (c[1], c[0])), t
+
+
 def joint_makespan_two(width, height, obstacles, starts, goals, horizon):
     """Minimal t with both agents simultaneously on distinct goal cells.
 

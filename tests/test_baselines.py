@@ -16,6 +16,7 @@ from evopath.baselines import (
     mc_train,
     q_train,
 )
+from evopath.bench import gen_map
 from evopath.gridworld import (
     Action,
     InvalidJointStateError,
@@ -31,6 +32,7 @@ from oracles import (
     bfs_distance,
     joint_makespan_two,
     plan_conflicts,
+    survival_end,
     value_iteration,
 )
 
@@ -300,27 +302,52 @@ def random_instances(draw):
     return "\n".join(rows) + "\n", obstacles, goals, starts, width, height
 
 
-@settings(max_examples=80, deadline=None)
-@given(random_instances())
-def test_plan_fuzz_respects_invariants(instance):
-    text, obstacles, goals, starts, width, height = instance
-    grid = parse_map(text)
-    horizon = 3 * (width + height)
+def check_plan(grid, starts, horizon):
+    """Plan, then check conflicts, moves, goals and where failed agents end."""
     res = astar_plan(grid, starts, horizon)
     assert plan_conflicts(res.paths, res.success, horizon) == []
-    dist = bfs_distance(width, height, obstacles, goals)
-    for path, ok, start in zip(res.paths, res.success, starts):
+    for i, (path, ok, start) in enumerate(zip(res.paths, res.success, starts)):
         assert path[0] == start
         assert len(path) <= horizon + 1
         for a, b in zip(path, path[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) <= 1
             assert grid.is_free(b)
         if ok:
-            assert path[-1] in goals
+            assert path[-1] in grid.goals
+        else:
+            end = survival_end(res.paths, i, horizon, grid.width, grid.height, grid.obstacles)
+            assert (path[-1], len(path) - 1) == end
+    return res
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_instances())
+def test_plan_fuzz_respects_invariants(instance):
+    text, obstacles, goals, starts, width, height = instance
+    grid = parse_map(text)
+    horizon = 3 * (width + height)
+    res = check_plan(grid, starts, horizon)
+    dist = bfs_distance(width, height, obstacles, goals)
     # a lone agent on a connected instance is exactly BFS-optimal
     if len(starts) == 1 and starts[0] in dist:
         assert res.success[0]
         assert len(res.paths[0]) - 1 == dist[starts[0]]
+
+
+def test_crowded_plan_fuzz_ends_failed_agents_where_the_survival_rule_says():
+    # more agents than goals, so every plan has failed agents
+    rng = np.random.default_rng(2024)
+    failed = 0
+    for k in range(40):
+        width, height = (int(v) for v in rng.integers(5, 10, 2))
+        n_goals = int(rng.integers(1, 4))
+        grid = gen_map(width, height, float(rng.choice([0.1, 0.2, 0.3])), None, n_goals, 7100 + k)
+        cells = list(grid.starts)
+        n_agents = min(len(cells), n_goals + int(rng.integers(1, 6)))
+        starts = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
+        res = check_plan(grid, starts, 2 * (width + height))
+        failed += res.success.count(False)
+    assert failed >= 40
 
 
 # -- q-learning ------------------------------------------------------------------

@@ -255,8 +255,6 @@ _TABLE_BAD_VALUES = [
         ("world.horizon", "2.5", "egt"),
         ("egt.episodes", "2.5", "egt"),
         ("learn.episodes", "2.5", "mc"),
-        ("ess.p_new", "abc", "egt"),
-        ("ess.extra_fraction", "abc", "egt"),
         *_TABLE_BAD_VALUES,
     ],
 )

@@ -205,12 +205,22 @@ def test_a_bad_seed_is_reported_by_its_key(cfg_file, tmp_path, capsys, command, 
     ("egt.nu", "0", "egt.nu and egt.mu must be positive integers"),
     ("reward.delta1", "-9", "reward levels must satisfy reward.delta2 < reward.delta1 < 0"),
     ("learn.rate", "2", "learn.rate must lie in (0, 1]"),
+    ("ess.eval_episodes", "0", "ess.eval_episodes must be >= 1"),
+    ("ess.p_new", "2", "ess.p_new must lie in [0, 1]"),
+    ("ess.extra_fraction", "-1", "ess.extra_fraction must be >= 0"),
+    ("map.goals", "0", "map.goals must be >= 1"),
+    ("map.density", "2", "map.density must lie in [0, 1)"),
+    ("map.width", "0", "map.width and map.height must be positive"),
+    ("map.starts", "0", "map.starts must be >= 1"),
 ])
 def test_a_failing_check_names_the_config_key(cfg_file, capsys, key, value, message):
     text = EGT_CFG.replace("algorithm=egt", "algorithm=qlearn") if key.startswith("learn.") else EGT_CFG
     text = "".join(line + "\n" for line in text.splitlines() if not line.startswith(f"{key}="))
-    assert main(["eval", "--config", cfg_file(text + f"{key}={value}\n")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
+    # each key's check runs in the commands that read the key
+    commands = {"ess": ["ess-test"], "map": ["gen-map", "eval"]}.get(key.split(".")[0], ["eval"])
+    for command in commands:
+        assert main([command, "--config", cfg_file(text + f"{key}={value}\n")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
 
 
 @pytest.mark.parametrize("command", ["gen-map", "eval", "train"])
