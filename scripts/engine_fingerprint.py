@@ -27,9 +27,11 @@ covers:
   stretches below 1, with their error text);
 - the _perm_target and _perm_choices arrays of generated maps from 1 x k
   and k x 1 up to 100 x 100;
-- astar_plan paths, success flags and expanded counts on crowded instances,
-  with plans where every agent reaches a goal digested apart from plans
-  with a failing agent, and a failing agent's path apart from the rest.
+- astar_plan paths, success flags and expanded counts on crowded instances
+  up to 30 x 30, and on criterion 9's 100 x 100 maps with 100 goals for 2,
+  10 and 50 agents at the default horizon, with plans where every agent
+  reaches a goal digested apart from plans with a failing agent, and a
+  failing agent's path apart from the rest.
 
 Takes a few minutes on one core.
 """
@@ -52,7 +54,9 @@ from evopath import (  # noqa: E402
     success_update_probability, train,
 )
 from evopath import cli  # noqa: E402
-from evopath.bench import _KNOWN_KEYS, parse_config_text, run_sweep, sweep_from_config  # noqa: E402
+from evopath.bench import (  # noqa: E402
+    _KNOWN_KEYS, default_horizon, parse_config_text, run_sweep, sweep_from_config,
+)
 
 
 def digest(text: str) -> str:
@@ -246,38 +250,55 @@ def fingerprint_perm_tables() -> None:
         print(f"perm tables {w}x{h}: {digest(text)}")
 
 
+def print_plan_digests(label: str, instances: list) -> None:
+    """Digest astar_plan over (grid, starts, horizon) instances, split by outcome."""
+    parts: dict[str, list[str]] = {
+        "all-succeed paths": [], "all-succeed expanded": [],
+        "with-failure success and successful paths": [],
+        "with-failure failed paths": [], "with-failure expanded": [],
+    }
+    counts = {"all-succeed": 0, "with-failure": 0}
+    for grid, starts, horizon in instances:
+        res = astar_plan(grid, starts, horizon)
+        kind = "all-succeed" if all(res.success) else "with-failure"
+        counts[kind] += 1
+        parts[f"{kind} expanded"].append(f"{res.expanded};")
+        if kind == "all-succeed":
+            parts["all-succeed paths"].append(repr(res.paths))
+            continue
+        kept = [p if ok else None for p, ok in zip(res.paths, res.success)]
+        parts["with-failure success and successful paths"].append(repr((res.success, kept)))
+        parts["with-failure failed paths"].append(
+            repr([p for p, ok in zip(res.paths, res.success) if not ok])
+        )
+    print(f"plans {label}: {counts['all-succeed']} all-succeed, "
+          f"{counts['with-failure']} with-failure")
+    for name, texts in parts.items():
+        print(f"plan {label} {name}: {digest(''.join(texts))}")
+
+
 def fingerprint_plans() -> None:
     rng = np.random.default_rng(61)
     # (side, goals, agent-count range); the 30 x 30 case is sweep-noisy's cell shape
     cases = ((6, 2, (2, 5)), (10, 3, (2, 7)), (16, 4, (2, 9)), (30, 9, (8, 11)))
     for size, n_goals, agents in cases:
-        parts: dict[str, list[str]] = {
-            "all-succeed paths": [], "all-succeed expanded": [],
-            "with-failure success and successful paths": [],
-            "with-failure failed paths": [], "with-failure expanded": [],
-        }
-        counts = {"all-succeed": 0, "with-failure": 0}
+        instances = []
         for k in range(30 if size < 30 else 6):
             grid = gen_map(size, size, 0.2, None, n_goals, 600 + 100 * size + k)
             cells = list(grid.starts)
             n = min(len(cells), int(rng.integers(agents[0], agents[1] + 1)))
             starts = [cells[j] for j in rng.permutation(len(cells))[:n]]
-            res = astar_plan(grid, starts, 4 * size)
-            kind = "all-succeed" if all(res.success) else "with-failure"
-            counts[kind] += 1
-            parts[f"{kind} expanded"].append(f"{res.expanded};")
-            if kind == "all-succeed":
-                parts["all-succeed paths"].append(repr(res.paths))
-                continue
-            kept = [p if ok else None for p, ok in zip(res.paths, res.success)]
-            parts["with-failure success and successful paths"].append(repr((res.success, kept)))
-            parts["with-failure failed paths"].append(
-                repr([p for p, ok in zip(res.paths, res.success) if not ok])
-            )
-        print(f"plans {size}x{size}: {counts['all-succeed']} all-succeed, "
-              f"{counts['with-failure']} with-failure")
-        for name, texts in parts.items():
-            print(f"plan {size}x{size} {name}: {digest(''.join(texts))}")
+            instances.append((grid, starts, 4 * size))
+        print_plan_digests(f"{size}x{size}", instances)
+    # criterion 9's agent-count cells: 100 x 100, 100 goals, the default horizon
+    grids = [gen_map(100, 100, 0.2, None, 100, 9000 + k) for k in range(3)]
+    for n_agents in (2, 10, 50):
+        instances = []
+        for grid in grids:
+            cells = list(grid.starts)
+            starts = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
+            instances.append((grid, starts, default_horizon(100, 100)))
+        print_plan_digests(f"100x100 N={n_agents}", instances)
 
 
 def main() -> None:

@@ -51,7 +51,6 @@ from .baselines import (
     LearnParams,
     PlanResult,
     QTable,
-    ReturnsAccumulator,
     astar_plan,
     epsilon_greedy_policy,
     mc_train,
@@ -93,7 +92,7 @@ __all__ = [
     "Trajectory", "WORST_FITNESS", "apply_update", "construct_policy",
     "ess_test", "fitness", "greedy_action_map", "success_update_probability",
     "train",
-    "LearnParams", "PlanResult", "QTable", "ReturnsAccumulator", "astar_plan",
+    "LearnParams", "PlanResult", "QTable", "astar_plan",
     "epsilon_greedy_policy", "mc_train", "q_train",
     "EpisodeRecord", "MetricsReport", "aggregate", "min_obstacle_distance",
     "rollout",

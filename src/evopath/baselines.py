@@ -134,41 +134,6 @@ class QTable:
         return table
 
 
-class ReturnsAccumulator:
-    """First-visit return sums and visit counts per free (cell, action).
-
-    The running estimate is the exact arithmetic mean sum/count.
-    """
-
-    def __init__(self, grid: GridMap) -> None:
-        self.grid = grid
-        self._sums = np.zeros((grid.n_cells, N_ACTIONS))
-        self._counts = np.zeros((grid.n_cells, N_ACTIONS), dtype=np.int64)
-
-    def add(self, cell: Cell, action: Action, value: float) -> float:
-        """Record one first-visit return; returns the updated average."""
-        cid = self.grid._free_id(cell)
-        a = int(action)
-        self._sums[cid, a] += value
-        self._counts[cid, a] += 1
-        return float(self._sums[cid, a] / self._counts[cid, a])
-
-    def count(self, cell: Cell, action: Action) -> int:
-        return int(self._counts[self.grid._free_id(cell), int(action)])
-
-    def average(self, cell: Cell, action: Action) -> float | None:
-        """Mean recorded return, or None when the pair was never visited."""
-        cid = self.grid._free_id(cell)
-        a = int(action)
-        if self._counts[cid, a] == 0:
-            return None
-        return float(self._sums[cid, a] / self._counts[cid, a])
-
-    def to_qtable(self) -> QTable:
-        counts = np.maximum(self._counts, 1)
-        return QTable(self.grid, self._sums / counts)
-
-
 @dataclass(frozen=True)
 class PlanResult:
     """Planned paths, one per agent, timestep-indexed from t=0 (waits included).
@@ -202,23 +167,11 @@ class PlanResult:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _min_goal_distance(grid: GridMap) -> np.ndarray:
-    """Per cell id, the Manhattan distance to the nearest goal cell."""
-    ids = np.arange(grid.n_cells)
-    xs = ids % grid.width
-    ys = ids // grid.width
-    gxs = np.array([g[0] for g in sorted(grid.goals)])
-    gys = np.array([g[1] for g in sorted(grid.goals)])
-    return (np.abs(xs[:, None] - gxs[None, :]) + np.abs(ys[:, None] - gys[None, :])).min(axis=1)
-
-
-def _reconstruct(parents: dict[tuple[int, int], int], state: tuple[int, int]) -> list[int]:
-    cid, t = state
-    path = [cid]
-    while t > 0:
-        cid = parents[(cid, t)]
-        t -= 1
-        path.append(cid)
+def _reconstruct(parents: dict[int, int], state: int, n_cells: int) -> list[int]:
+    path = []
+    while state >= 0:
+        path.append(state % n_cells)
+        state = parents[state]
     path.reverse()
     return path
 
@@ -227,9 +180,9 @@ def _plan_one(
     grid: GridMap,
     start_id: int,
     horizon: int,
-    h: np.ndarray,
-    vres: set[tuple[int, int]],
-    eres: set[tuple[int, int, int]],
+    vres: set[int],
+    eres: set[int],
+    last: list[int],
 ) -> tuple[list[int], bool, int]:
     """Route one agent around existing reservations.
 
@@ -240,39 +193,51 @@ def _plan_one(
     at the deepest reachable timestep, on that timestep's lowest cell id,
     along the parent links A* recorded (success False). Returns (path of
     cell ids, success, A* heap pops).
+
+    A state (cell, t) is the int t * n_cells + cell. vres holds reserved
+    states, eres holds (t * n_cells + b) * n_cells + a for every move a -> b
+    an earlier agent made from t to t + 1 (a later agent may not take b -> a
+    then; a wait a -> a also reserves (a, t + 1), so vres rejects it first),
+    and last[cell] is the latest reserved tick on the cell (-1 when none).
+    Each heap entry is the int f * (horizon + 1) * n_cells + state, which
+    orders as (f, t, cell).
     """
-    target = grid._target_list
+    n = grid.n_cells
+    succ = grid._succ_list
     goal = grid._goal_list
+    h = grid._goal_distance_list
+    scale = (horizon + 1) * n
+    push, pop = heapq.heappush, heapq.heappop
     expanded = 0
 
-    def can_park(cid: int, t: int) -> bool:
-        return all((cid, tt) not in vres for tt in range(t + 1, horizon + 1))
-
-    heap: list[tuple[int, int, int]] = [(int(h[start_id]), 0, start_id)]
-    # filled on push, so each state enters the heap once
-    parents: dict[tuple[int, int], int] = {(start_id, 0): -1}
+    heap = [h[start_id] * scale + start_id]
+    # filled on push, so each state enters the heap once; maps to the parent state
+    parents = {start_id: -1}
     while heap:
-        f, t, cid = heapq.heappop(heap)
+        state = pop(heap) % scale
         expanded += 1
-        if goal[cid] and can_park(cid, t):
-            return _reconstruct(parents, (cid, t)), True, expanded
+        t = state // n
+        cid = state - t * n
+        # every reservation lies at or before the horizon, so the agent can
+        # park on cid from t on exactly when nothing is reserved there after t
+        if goal[cid] and last[cid] <= t:
+            return _reconstruct(parents, state, n), True, expanded
         if t == horizon:
             continue
-        nt = t + 1
+        base = (t + 1) * n
+        f_base = (t + 1) * scale + base
+        swap = state * n
         # an impermissible action targets its own cell, as Stay does
-        for nxt in target[cid]:
-            if (nxt, nt) in parents:
+        for nxt in succ[cid]:
+            nstate = base + nxt
+            if nstate in parents or nstate in vres or swap + nxt in eres:
                 continue
-            if (nxt, nt) in vres:
-                continue
-            if nxt != cid and (nxt, cid, t) in eres:
-                continue
-            parents[(nxt, nt)] = cid
-            heapq.heappush(heap, (nt + int(h[nxt]), nt, nxt))
+            parents[nstate] = state
+            push(heap, f_base + h[nxt] * scale + nxt)
 
-    deepest = max(t for _cid, t in parents)
-    end = min(cid for cid, t in parents if t == deepest)
-    return _reconstruct(parents, (end, deepest)), False, expanded
+    deepest = max(parents) // n
+    end = min(s for s in parents if s >= deepest * n)
+    return _reconstruct(parents, end, n), False, expanded
 
 
 def astar_plan(grid: GridMap, starts: list[Cell], horizon: int) -> PlanResult:
@@ -297,21 +262,27 @@ def astar_plan(grid: GridMap, starts: list[Cell], horizon: int) -> PlanResult:
     if len(set(ids)) != len(ids):
         raise InvalidJointStateError("agent starts must be distinct")
 
-    h = _min_goal_distance(grid)
-    vres: set[tuple[int, int]] = set()
-    eres: set[tuple[int, int, int]] = set()
+    n = grid.n_cells
+    vres: set[int] = set()
+    eres: set[int] = set()
+    last = [-1] * n
     paths = []
     success = []
     expanded = 0
     for start_id in ids:
-        path, ok, n = _plan_one(grid, start_id, horizon, h, vres, eres)
-        expanded += n
+        path, ok, k = _plan_one(grid, start_id, horizon, vres, eres, last)
+        expanded += k
         for t, cid in enumerate(path):
-            vres.add((cid, t))
-        for t in range(len(path) - 1, horizon):
-            vres.add((path[-1], t + 1))
-        for t in range(len(path) - 1):
-            eres.add((path[t], path[t + 1], t))
+            vres.add(t * n + cid)
+            last[cid] = max(last[cid], t)
+        # the parked tail, through the horizon
+        end = path[-1]
+        for t in range(len(path), horizon + 1):
+            vres.add(t * n + end)
+        if len(path) <= horizon:
+            last[end] = horizon
+        for t, (a, b) in enumerate(zip(path, path[1:])):
+            eres.add((t * n + b) * n + a)
         paths.append(tuple(grid.id_to_cell(cid) for cid in path))
         success.append(ok)
     return PlanResult(paths=tuple(paths), success=tuple(success), expanded=expanded)

@@ -309,7 +309,8 @@ class ExperimentConfig:
             )
 
 
-def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
+def _resolve_map(kv: Mapping[str, str], default_seed: int, maps: dict | None = None) -> GridMap:
+    """The config's map; maps, when given, caches generated maps by gen_map's arguments."""
     map_file = kv.get("map.file")
     if map_file is not None:
         used = [k for k in _GENERATOR_KEYS if k in kv]
@@ -322,7 +323,14 @@ def _resolve_map(kv: Mapping[str, str], default_seed: int) -> GridMap:
     kwargs = {"density": 0.2, "n_starts": None, "seed": default_seed,
               **_kwargs(kv, _GENERATOR_KEYS)}
     kwargs.setdefault("n_goals", max(1, math.ceil(0.01 * kwargs["width"] * kwargs["height"])))
-    return _build(gen_map, _GENERATOR_KEYS, kwargs)
+    if kwargs["n_starts"] is not None and kwargs["n_starts"] < 1:
+        # gen_map's own check names None, which configs spell all
+        raise ConfigError("map.starts must be >= 1 or all")
+    maps = {} if maps is None else maps
+    key = tuple(sorted(kwargs.items()))
+    if key not in maps:
+        maps[key] = _build(gen_map, _GENERATOR_KEYS, kwargs)
+    return maps[key]
 
 
 def _resolve_world(kv: Mapping[str, str], grid: GridMap) -> WorldConfig:
@@ -344,13 +352,15 @@ def _resolve_params(
     return _build(cls, table, kwargs)
 
 
-def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
+def experiment_from_config(kv: Mapping[str, str], maps: dict | None = None) -> ExperimentConfig:
     """Resolve a parsed key=value mapping into an ExperimentConfig.
 
     A key the config leaves out takes the default of the field it sets, in
     WorldConfig, RewardConfig, EGTParams, LearnParams or ExperimentConfig.
     world.horizon (default auto), egt.episodes and learn.episodes also accept
     "auto", which resolves through default_horizon and default_episode_budget.
+    maps, when given, is a cache of generated maps keyed by gen_map's
+    arguments; configs that share it share one GridMap per distinct map.
     """
     _check_keys(kv)
     algorithm = kv.get("algorithm")
@@ -358,7 +368,7 @@ def experiment_from_config(kv: Mapping[str, str]) -> ExperimentConfig:
         raise ConfigError("algorithm is required")
     seed = _seed(kv)
     try:
-        grid = _resolve_map(kv, seed)
+        grid = _resolve_map(kv, seed, maps)
         world = _resolve_world(kv, grid)
         rewards = _build(RewardConfig, _REWARD_KEYS, _kwargs(kv, _REWARD_KEYS))
         params = _resolve_params(kv, algorithm, grid, world)
@@ -550,13 +560,13 @@ def _format_report(rep: MetricsReport) -> dict[str, str]:
 
 
 def _run_cell(
-    base: Mapping[str, str], spec: SweepSpec, algo: str, value: int, rep: int
+    base: Mapping[str, str], spec: SweepSpec, algo: str, value: int, rep: int, maps: dict
 ) -> tuple[list[str], MetricsReport | None]:
     master = _seed(base)
     run_seed = _derive_seed(master, _ALGO_CODE[algo], _AXIS_CODE[spec.axis], value, rep)
     head = [algo, spec.axis, str(value), str(rep), str(run_seed)]
     try:
-        cfg = experiment_from_config(_cell_kv(base, spec, algo, value, rep))
+        cfg = experiment_from_config(_cell_kv(base, spec, algo, value, rep), maps)
         report = run_experiment(cfg, np.random.default_rng(run_seed))
     except Exception as exc:
         return head + [""] * len(_REPORT_COLUMNS) + [f"error:{type(exc).__name__}"], None
@@ -570,7 +580,8 @@ def run_sweep(
     """Run every sweep cell; returns (data CSV text, summary CSV text).
 
     Cell failures become rows with an error status; the sweep keeps going.
-    With a fixed master seed and timing off the output is byte-stable.
+    With a fixed master seed and timing off the output is byte-stable. Each
+    distinct generated map is built once and shared by the cells that use it.
     """
     _check_keys(base)
     jobs = [
@@ -579,7 +590,9 @@ def run_sweep(
         for value in spec.values
         for rep in range(spec.reps)
     ]
-    outcomes = [_run_cell(base, spec, a, v, r) for a, v, r in jobs]
+    # cells that differ only in algorithm (or agent count) share their map
+    maps: dict = {}
+    outcomes = [_run_cell(base, spec, a, v, r, maps) for a, v, r in jobs]
 
     paired = sorted(zip(jobs, outcomes), key=lambda jr: jr[0])
     lines = [CSV_HEADER] + [",".join(row) for (_, (row, _)) in paired]

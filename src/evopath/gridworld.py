@@ -314,6 +314,20 @@ class GridMap:
         return self._goal_mask.tolist()
 
     @cached_property
+    def _succ_list(self) -> list[list[int]]:
+        """Per cell id, the distinct target ids of its actions, in action order."""
+        return [list(dict.fromkeys(row)) for row in self._target_list]
+
+    @cached_property
+    def _goal_distance_list(self) -> list[int]:
+        """Per cell id, the Manhattan distance to the nearest goal cell (A*'s heuristic)."""
+        ids = np.arange(self.n_cells)
+        goals = np.array(sorted(self.goals))
+        dx = np.abs(ids[:, None] % self.width - goals[None, :, 0])
+        dy = np.abs(ids[:, None] // self.width - goals[None, :, 1])
+        return (dx + dy).min(axis=1).tolist()
+
+    @cached_property
     def _pick_bytes(self) -> tuple[bytes, bytes]:
         """_perm_choices as flat bytes for noisy scalar episodes.
 

@@ -12,6 +12,7 @@ Cells are (x, y) tuples. Action codes follow the package's fixed order
 restated here on purpose rather than imported.
 """
 
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -237,6 +238,84 @@ def survival_end(paths, agent, horizon, width, height, obstacles):
         layer = nxt
         t += 1
     return min(layer, key=lambda c: (c[1], c[0])), t
+
+
+def reference_astar_plan(grid, starts, horizon):
+    """Prioritized space-time A* as the package ran it with tuple-keyed states.
+
+    The search below is the earlier package planner, kept unchanged: states
+    are (cell id, t) tuples, heap entries are (f, t, cell id) tuples, and the
+    parking test scans every tick up to the horizon. Only its inputs differ:
+    the target table comes from permissible_tables and the goal distances
+    from a plain numpy broadcast, not from the grid's cached tables. Starts
+    are taken as given (no argument checks). Returns (paths of (x, y) cells,
+    success flags, expanded) as tuples, comparable to PlanResult's fields.
+    """
+    target = permissible_tables(grid.width, grid.height, grid.obstacles)[1]
+    goal = [grid.id_to_cell(cid) in grid.goals for cid in range(grid.n_cells)]
+    ids = np.arange(grid.n_cells)
+    gxs = np.array([g[0] for g in sorted(grid.goals)])
+    gys = np.array([g[1] for g in sorted(grid.goals)])
+    h = (np.abs(ids[:, None] % grid.width - gxs[None, :])
+         + np.abs(ids[:, None] // grid.width - gys[None, :])).min(axis=1)
+
+    def reconstruct(parents, state):
+        cid, t = state
+        path = [cid]
+        while t > 0:
+            cid = parents[(cid, t)]
+            t -= 1
+            path.append(cid)
+        path.reverse()
+        return path
+
+    def plan_one(start_id, vres, eres):
+        expanded = 0
+
+        def can_park(cid, t):
+            return all((cid, tt) not in vres for tt in range(t + 1, horizon + 1))
+
+        heap = [(int(h[start_id]), 0, start_id)]
+        parents = {(start_id, 0): -1}
+        while heap:
+            f, t, cid = heapq.heappop(heap)
+            expanded += 1
+            if goal[cid] and can_park(cid, t):
+                return reconstruct(parents, (cid, t)), True, expanded
+            if t == horizon:
+                continue
+            nt = t + 1
+            for nxt in target[cid]:
+                if (nxt, nt) in parents:
+                    continue
+                if (nxt, nt) in vres:
+                    continue
+                if nxt != cid and (nxt, cid, t) in eres:
+                    continue
+                parents[(nxt, nt)] = cid
+                heapq.heappush(heap, (nt + int(h[nxt]), nt, nxt))
+
+        deepest = max(t for _cid, t in parents)
+        end = min(cid for cid, t in parents if t == deepest)
+        return reconstruct(parents, (end, deepest)), False, expanded
+
+    vres = set()
+    eres = set()
+    paths = []
+    success = []
+    expanded = 0
+    for start_id in (grid.cell_id(c) for c in starts):
+        path, ok, n = plan_one(start_id, vres, eres)
+        expanded += n
+        for t, cid in enumerate(path):
+            vres.add((cid, t))
+        for t in range(len(path) - 1, horizon):
+            vres.add((path[-1], t + 1))
+        for t in range(len(path) - 1):
+            eres.add((path[t], path[t + 1], t))
+        paths.append(tuple(grid.id_to_cell(cid) for cid in path))
+        success.append(ok)
+    return tuple(paths), tuple(success), expanded
 
 
 def joint_makespan_two(width, height, obstacles, starts, goals, horizon):

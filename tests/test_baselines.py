@@ -10,7 +10,6 @@ from evopath.baselines import (
     LearnParams,
     PlanResult,
     QTable,
-    ReturnsAccumulator,
     astar_plan,
     epsilon_greedy_policy,
     mc_train,
@@ -32,6 +31,7 @@ from oracles import (
     bfs_distance,
     joint_makespan_two,
     plan_conflicts,
+    reference_astar_plan,
     survival_end,
     value_iteration,
 )
@@ -141,36 +141,6 @@ def test_qtable_copy_is_independent():
     dup = table.copy()
     dup.set((0, 0), UP, 9.0)
     assert table.get((0, 0), UP) == 0.0
-
-
-# -- returns accumulator ---------------------------------------------------------
-
-
-def test_returns_average_of_two():
-    acc = ReturnsAccumulator(parse_map(GOAL_BR))
-    assert acc.average((1, 2), RIGHT) is None
-    assert acc.add((1, 2), RIGHT, 4.0) == 4.0
-    assert acc.add((1, 2), RIGHT, 8.0) == 6.0
-    assert acc.average((1, 2), RIGHT) == 6.0
-    assert acc.count((1, 2), RIGHT) == 2
-
-
-def test_returns_to_qtable_zero_for_unvisited():
-    acc = ReturnsAccumulator(parse_map(GOAL_BR))
-    acc.add((2, 2), UP, -3.0)
-    q = acc.to_qtable()
-    assert q.get((2, 2), UP) == -3.0
-    assert q.get((0, 0), STAY) == 0.0
-
-
-@settings(max_examples=60)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
-def test_returns_average_is_exact_mean(values):
-    acc = ReturnsAccumulator(parse_map(GOAL_BR))
-    for v in values:
-        acc.add((0, 1), DOWN, v)
-    mean = sum(values) / len(values)
-    assert acc.average((0, 1), DOWN) == pytest.approx(mean, rel=1e-12, abs=1e-12)
 
 
 # -- epsilon-greedy extraction ---------------------------------------------------
@@ -348,6 +318,29 @@ def test_crowded_plan_fuzz_ends_failed_agents_where_the_survival_rule_says():
         res = check_plan(grid, starts, 2 * (width + height))
         failed += res.success.count(False)
     assert failed >= 40
+
+
+def test_plan_matches_the_reference_planner_exactly():
+    # starts from every free cell: some sit on goals, some in pockets no goal
+    # reaches; up to 11 agents on 1-5 goals, so many plans have failed agents
+    rng = np.random.default_rng(2212)
+    failed = short = 0
+    for k in range(240):
+        side = int(rng.integers(4, 17))
+        n_goals = int(rng.integers(1, 6))
+        grid = gen_map(side, side, float(rng.choice([0.1, 0.2, 0.3])), None, n_goals, 8200 + k)
+        cells = grid.free_cells()
+        n_agents = min(len(cells), int(rng.integers(1, 12)))
+        starts = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
+        horizon = int(rng.choice([0, 1, side, 4 * side]))
+        res = astar_plan(grid, starts, horizon)
+        assert (res.paths, res.success, res.expanded) == reference_astar_plan(grid, starts, horizon)
+        if horizon <= 1:
+            short += 1
+        else:
+            failed += res.success.count(False)
+    assert short >= 60
+    assert failed >= 200  # agents that fail with time to spare, not for want of ticks
 
 
 # -- q-learning ------------------------------------------------------------------

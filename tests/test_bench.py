@@ -5,7 +5,7 @@ import pytest
 
 import numpy as np
 
-from evopath import egt
+from evopath import bench, egt
 from evopath.baselines import LearnParams, astar_plan
 from evopath.bench import (
     CSV_HEADER,
@@ -491,6 +491,24 @@ def test_agent_axis_sweeps_run():
     rows = [line.split(",") for line in data.strip().splitlines()[1:]]
     assert [r[2] for r in rows] == ["1", "2"]
     assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("axis, values, n_maps", [
+    ("n_agents", (1, 2, 3), 2),   # one map per repetition, whatever the agent count
+    ("grid_size", (4, 6), 4),     # one map per size and repetition
+])
+def test_sweep_builds_each_distinct_map_once(monkeypatch, axis, values, n_maps):
+    seeds = []
+
+    def counting_gen_map(**kwargs):
+        seeds.append(kwargs["seed"])
+        return gen_map(**kwargs)
+
+    monkeypatch.setattr(bench, "gen_map", counting_gen_map)
+    spec = SweepSpec(axis=axis, values=values, algorithms=("astar", "egt"), reps=2)
+    data, _ = run_sweep(spec, kv(BASE_SWEEP + "map.width=6\nmap.height=6\n"))
+    assert all(line.endswith(",ok") for line in data.splitlines()[1:])
+    assert len(seeds) == len(set(seeds)) == n_maps
 
 
 def test_grid_size_sweeps_refuse_fixed_maps(tmp_path):

@@ -211,7 +211,7 @@ def test_a_bad_seed_is_reported_by_its_key(cfg_file, tmp_path, capsys, command, 
     ("map.goals", "0", "map.goals must be >= 1"),
     ("map.density", "2", "map.density must lie in [0, 1)"),
     ("map.width", "0", "map.width and map.height must be positive"),
-    ("map.starts", "0", "map.starts must be >= 1"),
+    ("map.starts", "0", "map.starts must be >= 1 or all"),
 ])
 def test_a_failing_check_names_the_config_key(cfg_file, capsys, key, value, message):
     text = EGT_CFG.replace("algorithm=egt", "algorithm=qlearn") if key.startswith("learn.") else EGT_CFG
