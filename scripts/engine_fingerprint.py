@@ -14,8 +14,10 @@ covers:
   {1, 2, 5, 10}, noise in {0, 0.3}, uniform and Dirichlet policies;
 - step outcomes on crowded boards with random frozen flags, noise in
   {0, 0.3, 1.0};
+- both of the above on PCG64-, MT19937- and SFC64-backed generators, each
+  with the generator's next uniform after the calls;
 - q_train and mc_train tables (raw values) and stats for N in {1, 3, 5},
-  noise in {0, 0.25};
+  noise in {0, 0.25}, and for N = 8 at noise 1.0;
 - the sweep CSVs of configs/agent_sweep.cfg, and of a noisy sweep over all
   four algorithms, with timing=off;
 - the output of the CLI's gen-map, eval, train (snapshot and counts, not
@@ -143,7 +145,15 @@ def fingerprint_cli() -> None:
                 print(f"cli {key}=abc {command}: exit {code} out {digest(out)} err {err.strip()!r}")
 
 
-def fingerprint_rollouts(rewards: RewardConfig) -> None:
+def make_rng(seed: int, bit_generator: str) -> np.random.Generator:
+    """A Generator on the named bit generator; "" is default_rng's PCG64."""
+    if not bit_generator:
+        return np.random.default_rng(seed)
+    return np.random.Generator(getattr(np.random, bit_generator)(seed))
+
+
+def fingerprint_rollouts(rewards: RewardConfig, bit_generator: str = "") -> None:
+    label = f" {bit_generator}" if bit_generator else ""
     for n_agents in (1, 2, 5, 10):
         grid = gen_map(12, 12, 0.2, None, 3, 200 + n_agents)
         probs = np.random.default_rng(n_agents).dirichlet(np.ones(5), grid.n_cells)
@@ -151,13 +161,15 @@ def fingerprint_rollouts(rewards: RewardConfig) -> None:
             world = WorldConfig(n_agents=n_agents, horizon=40, action_noise=noise)
             for name, policy in (("uniform", Policy.uniform(grid)),
                                  ("dirichlet", Policy(grid, probs))):
-                rng = np.random.default_rng(17)
+                rng = make_rng(17, bit_generator)
                 text = "".join(repr(rollout(grid, world, rewards, policy, rng)) for _ in range(30))
-                print(f"rollout N={n_agents} noise={noise} {name}: {digest(text)} next {rng.random()!r}")
+                print(f"rollout{label} N={n_agents} noise={noise} {name}: {digest(text)} "
+                      f"next {rng.random()!r}")
 
 
-def fingerprint_steps() -> None:
-    rng = np.random.default_rng(23)
+def fingerprint_steps(bit_generator: str = "") -> None:
+    label = f" {bit_generator}" if bit_generator else ""
+    rng = make_rng(23, bit_generator)
     for noise in (0.0, 0.3, 1.0):
         parts = []
         for k in range(200):
@@ -170,13 +182,14 @@ def fingerprint_steps() -> None:
             frozen = (rng.random(n) < 0.3).tolist()
             out = step(grid, starts, actions, rng, action_noise=noise, frozen=frozen)
             parts.append(repr(out))
-        print(f"step noise={noise}: {digest(''.join(parts))} next {rng.random()!r}")
+        print(f"step{label} noise={noise}: {digest(''.join(parts))} next {rng.random()!r}")
 
 
 def fingerprint_learners(rewards: RewardConfig) -> None:
-    for n_agents in (1, 3, 5):
+    # 8 agents at noise 1.0 is the densest draw pattern: every turn adds a coin and a pick
+    for n_agents, noises in ((1, (0.0, 0.25)), (3, (0.0, 0.25)), (5, (0.0, 0.25)), (8, (1.0,))):
         grid = gen_map(10, 10, 0.2, None, 2, 400 + n_agents)
-        for noise in (0.0, 0.25):
+        for noise in noises:
             world = WorldConfig(n_agents=n_agents, horizon=30, action_noise=noise)
             params = LearnParams(episodes=200)
             for name, learner in (("q", q_train), ("mc", mc_train)):
@@ -307,8 +320,9 @@ def main() -> None:
     fingerprint_updates()
     fingerprint_perm_tables()
     fingerprint_cli()
-    fingerprint_rollouts(rewards)
-    fingerprint_steps()
+    for bit_generator in ("", "MT19937", "SFC64"):
+        fingerprint_rollouts(rewards, bit_generator)
+        fingerprint_steps(bit_generator)
     fingerprint_learners(rewards)
     base = parse_config_text(NOISY_SWEEP)
     data, summary = run_sweep(sweep_from_config(base), base)

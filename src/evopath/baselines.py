@@ -314,9 +314,11 @@ def _train_tabular(
     runs `gridworld._play` with epsilon-greedy behavior on values: an acting
     agent draws its exploration coin, then one more uniform for a random
     action when exploring, or else takes the first largest value of its
-    cell's row. record(i, cell, action, next_cell, blocked_by_map) sees every
-    turn. fold(), when given, runs after each episode and returns its update
-    count; without it every turn counts as one update.
+    cell's row. Both draws come through _play's read-ahead of the child's
+    uniforms, in that order. record(i, cell, action, next_cell,
+    blocked_by_map) sees every turn. fold(), when given, runs after each
+    episode and returns its update count; without it every turn counts as
+    one update.
     """
     t0 = time.perf_counter()
     stats = TrainingStats()
@@ -326,9 +328,8 @@ def _train_tabular(
             break
         eps = params.epsilon_at(e)
         r = rng.spawn(1)[0]
-        rand = r.random
 
-        def choose(_i: int, cur: int) -> int:
+        def choose(_i: int, cur: int, rand: Callable[[], float]) -> int:
             if rand() < eps:
                 return min(int(rand() * N_ACTIONS), N_ACTIONS - 1)
             row = values[cur]
@@ -414,16 +415,14 @@ def mc_train(
     def fold() -> int:
         updates = 0
         for steps in turns:
-            returns = [0.0] * len(steps)
+            # backward, so the earliest visit of a pair writes its return last
+            first: dict[tuple[int, int], float] = {}
             G = 0.0
-            for t in range(len(steps) - 1, -1, -1):
-                G = steps[t][2] + gamma * G
-                returns[t] = G
-            first: dict[tuple[int, int], int] = {}
-            for t, (s, a, _r) in enumerate(steps):
-                first.setdefault((s, a), t)
-            for (s, a), t in first.items():
-                sums[s][a] += returns[t]
+            for s, a, r_val in reversed(steps):
+                G = r_val + gamma * G
+                first[s, a] = G
+            for (s, a), ret in first.items():
+                sums[s][a] += ret
                 cnts[s][a] += 1
                 est[s][a] = sums[s][a] / cnts[s][a]
             updates += len(first)

@@ -9,6 +9,7 @@ which makes same-cell and swap conflicts block the later (or both) movers.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
@@ -304,6 +305,15 @@ class GridMap:
         probs = np.array([self.starts[self.id_to_cell(i)] for i in ids])
         return ids, probs, np.cumsum(probs)
 
+    @cached_property
+    def _start_cdf_view(self) -> memoryview:
+        """The start CDF as a zero-copy view that bisect can search.
+
+        Not a list mirror: on 100x100 maps a list of the CDF took about
+        0.6 MB of peak RSS per map.
+        """
+        return memoryview(self._start_arrays[2])
+
     # python-list mirrors for tight sequential loops
     @cached_property
     def _target_list(self) -> list[list[int]]:
@@ -412,7 +422,7 @@ def _play(
     horizon: int,
     noise: float,
     rng: np.random.Generator | None,
-    choose: Callable[[int, int], int],
+    choose: Callable[[int, int, Callable[[], float]], int],
     record: Callable[[int, int, int, int, bool], None],
 ) -> int:
     """Run one episode of up to `horizon` ticks over integer cell ids.
@@ -421,11 +431,22 @@ def _play(
     q_train and mc_train all call it (egt's batched kernel restates it over
     arrays). Each tick, every active agent i in ascending index order:
 
-    1. takes its intended action a = choose(i, cell), which makes the
-       caller's own action draws, if any;
-    2. when noise > 0, draws one rng.random() coin;
-    3. when the coin is below noise, draws one rng.random() pick and plays
-       the int(pick * k)-th of the cell's k permissible actions, ascending.
+    1. takes its intended action a = choose(i, cell, rand), which makes the
+       caller's own draws, at most two, as rand() calls;
+    2. when noise > 0, draws one rand() coin;
+    3. when the coin is below noise, draws one rand() pick and plays the
+       int(pick * k)-th of the cell's k permissible actions, ascending.
+
+    rand() returns rng's next uniform, as rng.random() would, but reads
+    ahead, because a scalar rng.random() costs about 30 times a list pop.
+    The first refill saves rng.bit_generator.state. Before each tick, when
+    fewer unread uniforms remain than 4 per active agent, the most their
+    turns can draw, one vectorized rng.random(k) call appends k more, k at
+    least 64 and at least all drawn so far, so an episode makes few
+    refills. When the episode ends, _play restores the
+    saved state and replays the consumed count in one rng.random(used)
+    call, so rng ends bit-for-bit where scalar draws would leave it, on any
+    bit generator. With rng None nothing may draw.
 
     The move then resolves at once: an impermissible action leaves the agent
     in place (blocked by the map); a target held by any agent (one that
@@ -443,7 +464,10 @@ def _play(
     noisy = noise > 0.0
     if noisy:
         picks, counts = grid._pick_bytes
-        rand = rng.random
+    # unread uniforms, last drawn first, so that pop() hands them out in order
+    ahead: list[float] = []
+    rand = ahead.pop
+    drawn = 0
     occupied = set(ids)
     agents = range(len(ids))
     n_active = sum(active)
@@ -451,11 +475,17 @@ def _play(
     for _t in range(horizon):
         if n_active == 0:
             break
+        if rng is not None and len(ahead) < 4 * n_active:
+            if not drawn:
+                saved = rng.bit_generator.state
+            k = max(4 * n_active, drawn, 64)
+            ahead[:0] = rng.random(k)[::-1].tolist()
+            drawn += k
         for i in agents:
             if not active[i]:
                 continue
             cur = ids[i]
-            a = choose(i, cur)
+            a = choose(i, cur, rand)
             if noisy and rand() < noise:
                 a = picks[N_ACTIONS * cur + int(rand() * counts[cur])]
             tgt = target[cur][a]
@@ -471,6 +501,9 @@ def _play(
             if goal[nxt]:
                 active[i] = False
                 n_active -= 1
+    if drawn:
+        rng.bit_generator.state = saved
+        rng.random(drawn - len(ahead))
     return turns
 
 
@@ -538,7 +571,9 @@ def step(
             ev |= StepEvent.REACHED_GOAL
         events[i] = ev
 
-    _play(grid, ids, active, 1, action_noise, rng, lambda i, _cur: acts[i], record)
+    # without noise nothing draws, so _play gets no generator to read ahead from
+    _play(grid, ids, active, 1, action_noise, rng if action_noise > 0.0 else None,
+          lambda i, _cur, _rand: acts[i], record)
     return StepOutcome(
         next_cells=tuple(grid.id_to_cell(i) for i in ids),
         events=tuple(events),
@@ -564,7 +599,7 @@ def reward(
 
 def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n distinct start cell ids weighted by the start distribution."""
-    ids, probs, cdf = grid._start_arrays
+    ids, probs, _ = grid._start_arrays
     if n_agents < 1:
         raise ValueError("n_agents must be at least 1")
     if n_agents > len(ids):
@@ -572,11 +607,11 @@ def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) 
             f"{n_agents} agents requested but only {len(ids)} start cells"
         )
     if n_agents <= len(ids) // 2:
+        cdf = grid._start_cdf_view
         chosen: list[int] = []
         taken: set[int] = set()
         while len(chosen) < n_agents:
-            k = int(np.searchsorted(cdf, rng.random(), side="right"))
-            k = min(k, len(ids) - 1)
+            k = min(bisect_right(cdf, rng.random()), len(ids) - 1)
             if k not in taken:
                 taken.add(k)
                 chosen.append(int(ids[k]))

@@ -9,7 +9,7 @@ update counts, and timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,24 +97,25 @@ def rollout(
 ) -> EpisodeRecord:
     """Simulate one episode of N agents sharing one policy for up to T steps.
 
-    The tick rule and draw order are `gridworld._play`'s; each acting agent
-    first draws one uniform for its policy action. Agents that start on a
-    goal never act. Trajectories record the action actually executed (after
-    any action noise).
+    Start cells come from rng, then the tick rule and draw order are
+    `gridworld._play`'s; each acting agent first draws one uniform for its
+    policy action through _play's read-ahead, which leaves rng where scalar
+    rng.random() calls would. Agents that start on a goal never act.
+    Trajectories record the action actually executed (after any action
+    noise).
     """
     N = world.n_agents
     d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
     goal = grid._goal_list
     # a flat zero-copy view; tolist() would rebuild the table on every call
     cdf = memoryview(policy._cdf.reshape(-1))
-    rand = rng.random
 
     ids = [int(v) for v in _sample_initial_ids(grid, N, rng)]
     s_tr: list[list[int]] = [[] for _ in range(N)]
     a_tr: list[list[int]] = [[] for _ in range(N)]
     ret = [0.0] * N
 
-    def choose(_i: int, cur: int) -> int:
+    def choose(_i: int, cur: int, rand: Callable[[], float]) -> int:
         u = rand()
         k = N_ACTIONS * cur
         return (cdf[k] < u) + (cdf[k + 1] < u) + (cdf[k + 2] < u) + (cdf[k + 3] < u)

@@ -591,3 +591,116 @@ def reference_rollout(grid, world, reward_cfg, policy, rng):
         distances.append(min_hazard_distance(positions, w, h, obstacles, others))
     trajectories = [(steps[i], cells[i], cells[i] in goals) for i in range(N)]
     return trajectories, returns, distances
+
+
+def reference_step(grid, cells, actions, rng, noise, frozen):
+    """One joint tick of given actions, agent by agent in index order.
+
+    A frozen agent keeps its cell and draws nothing. With noise, every other
+    agent draws a rng.random() coin and, below the noise level, a pick over
+    its cell's permissible actions in ascending order. Returns the next cells.
+    """
+    w, h, obstacles = grid.width, grid.height, grid.obstacles
+    cells = list(cells)
+    occupied = set(cells)
+    for i, cur in enumerate(cells):
+        if frozen[i]:
+            continue
+        a = int(actions[i])
+        if noise > 0.0 and rng.random() < noise:
+            allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
+            a = allowed[int(rng.random() * len(allowed))]
+        nxt, blocked = transition(cur, a, w, h, obstacles)
+        if not blocked and nxt not in occupied:
+            occupied.remove(cur)
+            occupied.add(nxt)
+            cells[i] = nxt
+    return tuple(cells)
+
+
+def reference_tabular(grid, world, reward_cfg, params, rng, method):
+    """Q-learning ("q") or first-visit Monte Carlo ("mc") tables, written out.
+
+    Each episode spawns one child of rng and takes every draw from it with
+    scalar rng.random() calls: start cells (through the public
+    sample_initial), then per tick, per acting agent in index order, an
+    exploration coin, a uniform for a random action int(u * 5) when the coin
+    is below the episode's epsilon (else the first largest value of the
+    cell's row), and, with noise, a coin and a pick over the cell's
+    permissible actions in ascending order. Moves resolve against a set of
+    occupied cells; an agent on a goal freezes and keeps its cell, and one
+    that starts there never acts. Rewards: d3 on a goal, d2 when blocked by
+    the map, d1 otherwise.
+
+    Q applies r + gamma * max Q(next) (0 on a goal) at rate learning_rate
+    after every turn. MC, after each episode and agent by agent, adds the
+    backward-accumulated return from the first visit of each (cell, action)
+    pair to a running average. Returns the (n_cells, 5) table of values.
+    """
+    from evopath.gridworld import sample_initial
+
+    T, N, noise = world.horizon, world.n_agents, world.action_noise
+    w, h, obstacles, goals = grid.width, grid.height, grid.obstacles, grid.goals
+    d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
+    lr, gamma = params.learning_rate, params.discount
+    values = {(x, y): [0.0] * 5 for x in range(w) for y in range(h)}
+    sums = {c: [0.0] * 5 for c in values}
+    counts = {c: [0] * 5 for c in values}
+    for e in range(params.episodes):
+        eps = params.epsilon_at(e)
+        r = rng.spawn(1)[0]
+        cells = sample_initial(grid, N, r)
+        occupied = set(cells)
+        done = [c in goals for c in cells]
+        visits = [[] for _ in range(N)]
+        for _t in range(T):
+            if all(done):
+                break
+            for i in range(N):
+                if done[i]:
+                    continue
+                cur = cells[i]
+                if r.random() < eps:
+                    a = min(int(r.random() * 5), 4)
+                else:
+                    row = values[cur]
+                    a = 0
+                    for k in range(1, 5):
+                        if row[k] > row[a]:
+                            a = k
+                if noise > 0.0 and r.random() < noise:
+                    allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
+                    a = allowed[int(r.random() * len(allowed))]
+                nxt, blocked = transition(cur, a, w, h, obstacles)
+                if not blocked and nxt not in occupied:
+                    occupied.remove(cur)
+                    occupied.add(nxt)
+                    cells[i] = nxt
+                nxt = cells[i]
+                reward = d3 if nxt in goals else d2 if blocked else d1
+                if nxt in goals:
+                    done[i] = True
+                if method == "q":
+                    boot = 0.0 if nxt in goals else max(values[nxt])
+                    values[cur][a] += lr * (reward + gamma * boot - values[cur][a])
+                else:
+                    visits[i].append((cur, a, reward))
+        if method == "mc":
+            for steps in visits:
+                returns = [0.0] * len(steps)
+                g = 0.0
+                for t in range(len(steps) - 1, -1, -1):
+                    g = steps[t][2] + gamma * g
+                    returns[t] = g
+                seen = set()
+                for t, (cell, a, _r) in enumerate(steps):
+                    if (cell, a) in seen:
+                        continue
+                    seen.add((cell, a))
+                    sums[cell][a] += returns[t]
+                    counts[cell][a] += 1
+                    values[cell][a] = sums[cell][a] / counts[cell][a]
+    table = np.zeros((w * h, 5))
+    for (x, y), row in values.items():
+        table[y * w + x] = row
+    return table

@@ -15,9 +15,10 @@ from evopath.baselines import (
     mc_train,
     q_train,
 )
-from evopath.bench import gen_map
+from evopath.bench import GenerationError, gen_map
 from evopath.gridworld import (
     Action,
+    GridMap,
     InvalidJointStateError,
     InvalidStateError,
     RewardConfig,
@@ -32,6 +33,7 @@ from oracles import (
     joint_makespan_two,
     plan_conflicts,
     reference_astar_plan,
+    reference_tabular,
     survival_end,
     value_iteration,
 )
@@ -477,6 +479,37 @@ def test_learners_are_seed_deterministic(trainer):
         runs.append((table.to_text(), policy.to_text(),
                      stats.episodes_run, stats.policy_updates, stats.goal_reach_count))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method, trainer", [("q", q_train), ("mc", mc_train)])
+def test_tabular_learners_match_the_scalar_reference(method, trainer):
+    # small crowded boards whose goals are starts too, so some agents start
+    # parked; epsilon 1 makes every turn draw its random action
+    rng = np.random.default_rng(777)
+    for noise in (0.0, 0.3, 1.0):
+        checked = 0
+        while checked < 8:
+            w, h = (int(v) for v in rng.integers(3, 8, size=2))
+            try:
+                base = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+            except GenerationError:
+                continue
+            grid = GridMap(w, h, base.obstacles, base.goals, [*base.starts, *sorted(base.goals)])
+            n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+            world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 2 * (w + h))),
+                                action_noise=noise)
+            explore_end = 1.0 if checked % 2 else 0.05
+            params = LearnParams(explore_end=explore_end, episodes=int(rng.integers(1, 25)))
+            seed = int(rng.integers(1 << 30))
+            table, _policy, _stats = trainer(grid, world, RewardConfig(), params,
+                                             np.random.default_rng(seed))
+            ref = reference_tabular(grid, world, RewardConfig(), params,
+                                    np.random.default_rng(seed), method)
+            assert table._values.tolist() == ref.tolist(), (
+                f"{w}x{h}, {n_agents} agents, noise {noise}, explore_end {explore_end}:\n"
+                f"{grid.to_text()}"
+            )
+            checked += 1
 
 
 @pytest.mark.parametrize("trainer", [q_train, mc_train])

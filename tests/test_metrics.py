@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from evopath.bench import GenerationError, gen_map
 from evopath.egt import Policy, TrainingStats, Trajectory
-from evopath.gridworld import Action, RewardConfig, WorldConfig, parse_map
+from evopath.gridworld import Action, GridMap, RewardConfig, WorldConfig, _play, parse_map, step
 from evopath.metrics import (
     EpisodeRecord,
     MetricsReport,
@@ -23,6 +23,7 @@ from oracles import (
     chain_success_probability,
     min_hazard_distance,
     reference_rollout,
+    reference_step,
     transition,
 )
 
@@ -392,6 +393,54 @@ def test_rollout_matches_reference_on_crowded_fuzzed_maps():
             assert rec.cumulative_return == sum(rec.returns)
             assert run.random() == ref_run.random()
             checked += 1
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_read_ahead_leaves_any_bit_generator_where_scalar_draws_would(bit_generator):
+    def twins(seed):
+        return np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+
+    rng = np.random.default_rng(99)
+    checked = 0
+    while checked < 12:
+        w, h = (int(v) for v in rng.integers(3, 9, size=2))
+        try:
+            grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+        except GenerationError:
+            continue
+        noise = (0.0, 0.3, 1.0)[checked % 3]
+        n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+        world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
+                            action_noise=noise)
+        policy = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
+        run, ref_run = twins(int(rng.integers(1 << 30)))
+        rec = rollout(grid, world, RCFG, policy, run)
+        ref = reference_rollout(grid, world, RCFG, policy, ref_run)
+        assert [(tau.steps, tau.final, tau.reached_goal) for tau in rec.trajectories] == ref[0]
+        assert run.random() == ref_run.random()
+
+        cells = grid.free_cells()
+        cells = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
+        actions = rng.integers(0, 5, n_agents).tolist()
+        frozen = (rng.random(n_agents) < 0.3).tolist()
+        out = step(grid, cells, actions, run, action_noise=noise, frozen=frozen)
+        assert out.next_cells == reference_step(grid, cells, actions, ref_run, noise, frozen)
+        assert run.random() == ref_run.random()
+        checked += 1
+
+    # calls that draw nothing leave the generator as it was
+    parked = GridMap(3, 1, goals=[(0, 0), (2, 0)], starts=[(0, 0), (2, 0)])
+    run, ref_run = twins(7)
+    world = WorldConfig(n_agents=2, horizon=5, action_noise=1.0)
+    rec = rollout(parked, world, RCFG, Policy.uniform(parked), run)
+    assert rec.trajectories[0].steps == rec.trajectories[1].steps == []
+    reference_rollout(parked, world, RCFG, Policy.uniform(parked), ref_run)
+    assert run.random() == ref_run.random()
+    step(parked, [(1, 0)], [RIGHT], run, action_noise=0.0)
+    assert run.random() == ref_run.random()
+    _play(parked, [1], [True], 0, 1.0, run, lambda _i, _cur, rand: int(rand() * 5),
+          lambda *turn: None)
+    assert run.random() == ref_run.random()
 
 
 # -- aggregate -------------------------------------------------------------------
