@@ -31,9 +31,11 @@ covers:
   and k x 1 up to 100 x 100;
 - astar_plan paths, success flags and expanded counts on crowded instances
   up to 30 x 30, and on criterion 9's 100 x 100 maps with 100 goals for 2,
-  10 and 50 agents at the default horizon, with plans where every agent
-  reaches a goal digested apart from plans with a failing agent, and a
-  failing agent's path apart from the rest.
+  10 and 50 agents at the default horizon, on 100 x 100 maps with 6 goals
+  for 8 agents at the default horizon, and on 20 x 20 maps with starts in
+  pockets that hold no goal, with plans where every agent reaches a goal
+  digested apart from plans with a failing agent, and a failing agent's
+  path apart from the rest.
 
 Takes a few minutes on one core.
 """
@@ -312,6 +314,25 @@ def fingerprint_plans() -> None:
             starts = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
             instances.append((grid, starts, default_horizon(100, 100)))
         print_plan_digests(f"100x100 N={n_agents}", instances)
+    # more agents than goals: the last agents find every goal parked on
+    instances = []
+    for k in range(3):
+        grid = gen_map(100, 100, 0.2, None, 6, 9100 + k)
+        cells = list(grid.starts)
+        starts = [cells[j] for j in rng.permutation(len(cells))[:8]]
+        instances.append((grid, starts, default_horizon(100, 100)))
+    print_plan_digests("100x100 crowded", instances)
+    # starts in pockets that hold no goal, mixed in among starts that reach one
+    instances = []
+    for k in range(20):
+        grid = gen_map(20, 20, 0.35, None, 2, 9200 + k)
+        reachable = list(grid.starts)
+        pockets = sorted(set(grid.free_cells()) - set(reachable) - grid.goals)
+        cells = [pockets[j] for j in rng.permutation(len(pockets))[:3]]
+        cells += [reachable[j] for j in rng.permutation(len(reachable))[:4]]
+        starts = [cells[j] for j in rng.permutation(len(cells))]
+        instances.append((grid, starts, default_horizon(20, 20)))
+    print_plan_digests("20x20 pockets", instances)
 
 
 def main() -> None:

@@ -144,8 +144,10 @@ class PlanResult:
     around earlier agents' reservations, on that timestep's lowest cell id,
     which is before the horizon when the agent is cornered. It is
     conflict-free over the timesteps it covers, and its last cell is still
-    reserved onward so later agents keep clear. expanded counts A* heap
-    pops summed over agents.
+    reserved onward so later agents keep clear. expanded counts the states
+    the search pops, summed over agents; where `_plan_one` computes a failed
+    agent's result by a layered sweep instead, the sweep counts the same
+    states.
     """
 
     paths: tuple[tuple[Cell, ...], ...]
@@ -176,6 +178,83 @@ def _reconstruct(parents: dict[int, int], state: int, n_cells: int) -> list[int]
     return path
 
 
+def _by_tick(ticks: np.ndarray, horizon: int, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(bounds, *columns sorted by tick); tick t's rows are bounds[t]:bounds[t + 1]."""
+    order = np.argsort(ticks, kind="stable")
+    return np.searchsorted(ticks[order], np.arange(horizon + 2)), *(c[order] for c in columns)
+
+
+def _exhaust(
+    grid: GridMap,
+    start_id: int,
+    horizon: int,
+    vres: set[int],
+    eres: set[int],
+) -> tuple[list[int], bool, int]:
+    """What `_plan_one`'s A* returns when no pop can succeed, without the heap.
+
+    The Manhattan heuristic is consistent, so A* pops states in strictly
+    increasing (f, t, cell) order and an exhausted search pops every
+    reachable state. Layer t + 1 therefore holds each cell c whose
+    predecessor p (c itself for Stay and blocked moves, else a free
+    4-neighbour) is in layer t, where (c, t + 1) is not in vres and the move
+    p -> c at t does not reverse an earlier agent's move in eres. A parent is
+    set on first push, so c's parent is its valid predecessor popped first:
+    the one with the smallest (h[p], p). The sweep works on the start's
+    component only and keeps one int8 predecessor column per cell per layer.
+    Returns (survival path of cell ids, False, number of states), the
+    number of states being the pops A* would have made.
+    """
+    n = grid.n_cells
+    labels = grid._labels
+    comp = np.flatnonzero(labels == labels[start_id])
+    m = comp.size
+    # global id -> local index; m marks cells outside the component
+    local = np.full(n, m, dtype=np.int64)
+    local[comp] = np.arange(m)
+    perm, target = grid._perm_target
+    pred = np.where(perm[comp], local[target[comp]], m)
+    # order each cell's predecessors by A*'s pop order, so the parent is the first valid one
+    key = np.append(np.asarray(grid._goal_distance_list)[comp] * n + comp, np.iinfo(np.int64).max)
+    pred = np.take_along_axis(pred, np.argsort(key[pred], axis=1), axis=1)
+
+    v = np.fromiter(vres, dtype=np.int64, count=len(vres))
+    vt, vc = np.divmod(v, n)
+    inside = local[vc] < m
+    vb, vl = _by_tick(vt[inside], horizon, local[vc[inside]])
+    e = np.fromiter(eres, dtype=np.int64, count=len(eres))
+    tb, a = np.divmod(e, n)
+    et, b = np.divmod(tb, n)
+    inside = (local[a] < m) & (a != b)
+    el = local[a[inside]]
+    # an earlier move a -> b at t bars b -> a at t: b's column among a's predecessors
+    ecol = np.argmax(pred[el] == local[b[inside]][:, None], axis=1)
+    eb, el, ecol = _by_tick(et[inside], horizon, el, ecol)
+
+    reach = np.zeros(m + 1, dtype=bool)
+    reach[local[start_id]] = True
+    cols = []
+    expanded = 1
+    for t in range(horizon):
+        cand = reach[pred]
+        cand[el[eb[t]:eb[t + 1]], ecol[eb[t]:eb[t + 1]]] = False
+        nxt = cand.any(axis=1)
+        nxt[vl[vb[t + 1]:vb[t + 2]]] = False
+        size = int(np.count_nonzero(nxt))
+        if not size:
+            break
+        expanded += size
+        cols.append(cand.argmax(axis=1).astype(np.int8))
+        reach[:m] = nxt
+
+    c = int(np.argmax(reach))
+    path = [c]
+    for col in reversed(cols):
+        c = pred[c, col[c]]
+        path.append(c)
+    return comp[path[::-1]].tolist(), False, expanded
+
+
 def _plan_one(
     grid: GridMap,
     start_id: int,
@@ -192,7 +271,13 @@ def _plan_one(
     parents, so the agent instead survives as long as it can: the path ends
     at the deepest reachable timestep, on that timestep's lowest cell id,
     along the parent links A* recorded (success False). Returns (path of
-    cell ids, success, A* heap pops).
+    cell ids, success, expanded), where expanded counts the states the
+    search pops.
+
+    When every goal in the start's free component is parked on through the
+    horizon (or the component holds none), no pop can succeed, and
+    `_exhaust` computes the exhausted search's path and pop count layer by
+    layer instead of running the heap.
 
     A state (cell, t) is the int t * n_cells + cell. vres holds reserved
     states, eres holds (t * n_cells + b) * n_cells + a for every move a -> b
@@ -202,6 +287,8 @@ def _plan_one(
     Each heap entry is the int f * (horizon + 1) * n_cells + state, which
     orders as (f, t, cell).
     """
+    if all(last[g] == horizon for g in grid._component_goals[grid._labels[start_id]]):
+        return _exhaust(grid, start_id, horizon, vres, eres)
     n = grid.n_cells
     succ = grid._succ_list
     goal = grid._goal_list
@@ -248,7 +335,9 @@ def astar_plan(grid: GridMap, starts: list[Cell], horizon: int) -> PlanResult:
     final cell through the horizon, so later agents cannot collide or swap
     with earlier ones. h = Manhattan distance to the nearest goal cell. An
     agent with no goal it can park on gets the survival path `_plan_one`
-    describes and success False. expanded counts A* heap pops only.
+    describes and success False. expanded counts the states the search
+    pops; the layered sweep `_plan_one` runs for an agent whose goals are
+    all parked on counts the same states.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

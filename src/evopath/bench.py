@@ -16,6 +16,7 @@ from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy import ndimage
 
 from . import egt as _egt
 from .baselines import LearnParams, astar_plan, mc_train, q_train
@@ -25,7 +26,7 @@ from .gridworld import (
     GridMap,
     RewardConfig,
     WorldConfig,
-    _reach,
+    _goal_reach,
     action_delta,
     parse_map,
     sample_initial,
@@ -107,15 +108,19 @@ def gen_map(
     rng = np.random.default_rng(seed)
     for _attempt in range(_GEN_RETRIES):
         blocked = rng.random((height, width)) < density
-        free = [(x, y) for y in range(height) for x in range(width) if not blocked[y, x]]
+        # free cells in row-major order
+        ys, xs = np.nonzero(~blocked)
         need = n_goals + (1 if n_starts is None else n_starts)
-        if len(free) < need:
+        if xs.size < need:
             continue
-        order = rng.permutation(len(free))
-        goals = {free[i] for i in order[:n_goals]}
-
-        reach = _reach(goals, set(free).__contains__)
-        candidates = sorted(reach - goals)
+        drawn = rng.permutation(xs.size)[:n_goals]
+        goals = set(zip(xs[drawn].tolist(), ys[drawn].tolist()))
+        goal_mask = np.zeros_like(blocked)
+        goal_mask[ys[drawn], xs[drawn]] = True
+        reach = _goal_reach(ndimage.label(~blocked)[0], goal_mask) & ~goal_mask
+        # transposed, so the cells come out sorted by (x, y)
+        cx, cy = np.nonzero(reach.T)
+        candidates = list(zip(cx.tolist(), cy.tolist()))
         if n_starts is None:
             if not candidates:
                 continue
@@ -125,7 +130,8 @@ def gen_map(
                 continue
             pick = rng.permutation(len(candidates))[:n_starts]
             starts = [candidates[i] for i in pick]
-        obstacles = [(x, y) for y in range(height) for x in range(width) if blocked[y, x]]
+        oy, ox = np.nonzero(blocked)
+        obstacles = zip(ox.tolist(), oy.tolist())
         return GridMap(width, height, obstacles=obstacles, goals=goals, starts=starts)
     raise GenerationError(
         f"could not generate a feasible {width}x{height} map at density {density} "

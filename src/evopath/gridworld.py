@@ -10,7 +10,6 @@ which makes same-cell and swap conflicts block the later (or both) movers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from functools import cached_property
@@ -142,17 +141,15 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _reach(goals: Iterable[Cell], is_free: Callable[[Cell], bool]) -> set[Cell]:
-    """The goals plus every cell joined to one by 4-neighbour steps through free cells."""
-    seen = set(goals)
-    queue = deque(seen)
-    while queue:
-        x, y = queue.popleft()
-        for nxt in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
-            if nxt not in seen and is_free(nxt):
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def _goal_reach(labels: np.ndarray, goal_mask: np.ndarray) -> np.ndarray:
+    """Per cell, whether its 4-connected free component holds a goal.
+
+    labels numbers the free components as `scipy.ndimage.label` does (0 on
+    obstacles); goal_mask has labels' shape and marks free cells only.
+    """
+    held = np.zeros(int(labels.max()) + 1, dtype=bool)
+    held[labels[goal_mask]] = True
+    return held[labels]
 
 
 class GridMap:
@@ -208,10 +205,10 @@ class GridMap:
         total = sum(self.starts.values())
         if abs(total - 1.0) > 1e-9:
             raise MapError(f"start probabilities sum to {total!r}, not 1")
-        reach = _reach(self.goals, self.is_free)
-        for c in self.starts:
-            if c not in reach:
-                raise DisconnectedMapError(f"start {c} cannot reach any goal")
+        reach = _goal_reach(self._labels, self._goal_mask).tolist()
+        for x, y in self.starts:
+            if not reach[y * self.width + x]:
+                raise DisconnectedMapError(f"start {(x, y)} cannot reach any goal")
 
     # -- basic queries ------------------------------------------------------
 
@@ -255,16 +252,29 @@ class GridMap:
     @cached_property
     def _free_mask(self) -> np.ndarray:
         mask = np.ones(self.n_cells, dtype=bool)
-        for c in self.obstacles:
-            mask[self.cell_id(c)] = False
+        mask[[self.cell_id(c) for c in self.obstacles]] = False
         return mask
 
     @cached_property
     def _goal_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_cells, dtype=bool)
-        for c in self.goals:
-            mask[self.cell_id(c)] = True
+        mask[[self.cell_id(c) for c in self.goals]] = True
         return mask
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Per cell id, the label of its 4-connected free component (0 on obstacles)."""
+        labels, _ = ndimage.label(self._free_mask.reshape(self.height, self.width))
+        return labels.reshape(-1)
+
+    @cached_property
+    def _component_goals(self) -> list[list[int]]:
+        """Per component label, the ids of the component's goal cells, ascending."""
+        goals = np.flatnonzero(self._goal_mask)
+        out: list[list[int]] = [[] for _ in range(int(self._labels.max()) + 1)]
+        for g, label in zip(goals.tolist(), self._labels[goals].tolist()):
+            out[label].append(g)
+        return out
 
     @cached_property
     def _perm_target(self) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,47 @@ def bfs_distance(width, height, obstacles, sources):
     return dist
 
 
+def reference_reach(goals, is_free):
+    """The goals plus every cell joined to one by 4-neighbour steps through free cells."""
+    seen = set(goals)
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        for nxt in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+            if nxt not in seen and is_free(nxt):
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def reference_gen_map(width, height, density, n_starts, n_goals, seed, retries=64):
+    """bench.gen_map's draws and choices, flooding with reference_reach.
+
+    Returns (obstacles, goals, starts) as sets, or None when every one of the
+    retries failed. Argument checks are left to the package.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(retries):
+        blocked = rng.random((height, width)) < density
+        free = [(x, y) for y in range(height) for x in range(width) if not blocked[y, x]]
+        if len(free) < n_goals + (1 if n_starts is None else n_starts):
+            continue
+        order = rng.permutation(len(free))
+        goals = {free[i] for i in order[:n_goals]}
+        candidates = sorted(reference_reach(goals, set(free).__contains__) - goals)
+        if n_starts is None:
+            if not candidates:
+                continue
+            starts = candidates
+        else:
+            if len(candidates) < n_starts:
+                continue
+            starts = [candidates[i] for i in rng.permutation(len(candidates))[:n_starts]]
+        obstacles = {(x, y) for y in range(height) for x in range(width) if blocked[y, x]}
+        return obstacles, goals, set(starts)
+    return None
+
+
 def transition(cell, action, width, height, obstacles):
     """Single-agent move: impermissible targets leave the agent in place."""
     dx, dy = DELTAS[action]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evopath import baselines
 from evopath.baselines import (
     LearnParams,
     PlanResult,
@@ -322,9 +323,23 @@ def test_crowded_plan_fuzz_ends_failed_agents_where_the_survival_rule_says():
     assert failed >= 40
 
 
-def test_plan_matches_the_reference_planner_exactly():
+def count_sweeps(monkeypatch):
+    """Wrap the planner's layered sweep; the returned list grows by one per sweep."""
+    calls = []
+    inner = baselines._exhaust
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(baselines, "_exhaust", counted)
+    return calls
+
+
+def test_plan_matches_the_reference_planner_exactly(monkeypatch):
     # starts from every free cell: some sit on goals, some in pockets no goal
     # reaches; up to 11 agents on 1-5 goals, so many plans have failed agents
+    sweeps = count_sweeps(monkeypatch)
     rng = np.random.default_rng(2212)
     failed = short = 0
     for k in range(240):
@@ -343,6 +358,25 @@ def test_plan_matches_the_reference_planner_exactly():
             failed += res.success.count(False)
     assert short >= 60
     assert failed >= 200  # agents that fail with time to spare, not for want of ticks
+    assert len(sweeps) >= 300  # agents whose result the layered sweep computed
+
+
+def test_crowded_plan_sweep_matches_the_reference_planner(monkeypatch):
+    # more agents than goals and a long horizon: later agents find every goal
+    # parked on, and earlier agents' moves fill eres with swaps to respect
+    sweeps = count_sweeps(monkeypatch)
+    rng = np.random.default_rng(1402)
+    for k in range(12):
+        side = int(rng.integers(20, 41))
+        n_goals = int(rng.integers(1, 4))
+        grid = gen_map(side, side, float(rng.choice([0.1, 0.2, 0.3])), None, n_goals, 9400 + k)
+        cells = list(grid.starts)
+        n_agents = n_goals + int(rng.integers(2, 5))
+        starts = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
+        horizon = 4 * side
+        res = astar_plan(grid, starts, horizon)
+        assert (res.paths, res.success, res.expanded) == reference_astar_plan(grid, starts, horizon)
+    assert len(sweeps) >= 24
 
 
 # -- q-learning ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from evopath.bench import (
 )
 from evopath.egt import EGTParams
 from evopath.gridworld import RewardConfig, WorldConfig, parse_map, sample_initial
-from oracles import bfs_distance, min_hazard_distance, transition
+from oracles import bfs_distance, min_hazard_distance, reference_gen_map, transition
 
 BASE_SWEEP = (
     "algorithm=egt\nseed=9\ntiming=off\nmap.density=0.1\nmap.goals=1\n"
@@ -89,6 +89,32 @@ def test_every_start_is_connected_to_a_goal():
     reach = bfs_distance(10, 10, grid.obstacles, grid.goals)
     assert all(start in reach for start in grid.starts)
     assert not set(grid.starts) & grid.goals
+
+
+def test_gen_map_matches_the_plain_flood_on_fuzzed_maps():
+    # 1-wide and 1-high strips among small boxes; dense maps leave pockets no
+    # goal reaches, and some shapes spend every retry
+    rng = np.random.default_rng(1414)
+    built = failed = 0
+    for k in range(300):
+        width, height = (int(v) for v in rng.integers(1, 13, 2))
+        if k % 3 == 0:
+            width = 1
+        elif k % 3 == 1:
+            height = 1
+        density = float(rng.choice([0.0, 0.1, 0.3, 0.45, 0.6]))
+        n_goals = int(rng.integers(1, 4))
+        n_starts = None if k % 2 else int(rng.integers(1, 6))
+        want = reference_gen_map(width, height, density, n_starts, n_goals, 5000 + k)
+        if want is None:
+            with pytest.raises(GenerationError):
+                gen_map(width, height, density, n_starts, n_goals, 5000 + k)
+            failed += 1
+            continue
+        grid = gen_map(width, height, density, n_starts, n_goals, 5000 + k)
+        assert (set(grid.obstacles), set(grid.goals), set(grid.starts)) == want
+        built += 1
+    assert built >= 150 and failed >= 20
 
 
 def test_explicit_start_count_is_respected():

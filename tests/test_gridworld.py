@@ -30,6 +30,7 @@ from evopath import (
 )
 
 from evopath.bench import GenerationError, gen_map
+from evopath.gridworld import _goal_reach
 
 import oracles
 
@@ -95,6 +96,43 @@ def test_text_round_trip():
     assert g2.goals == g.goals
     assert set(g2.starts) == set(g.starts)
     assert g2.to_text() == g.to_text()
+
+
+def test_gridmap_reach_matches_the_plain_flood_on_fuzzed_maps():
+    # random walls up to density 0.6 cut pockets off; starts drawn from every
+    # free cell, so some sit where no goal reaches
+    rng = np.random.default_rng(1415)
+    built = disconnected = 0
+    for k in range(300):
+        width, height = (int(v) for v in rng.integers(1, 13, 2))
+        if k % 3 == 0:
+            width = 1
+        elif k % 3 == 1:
+            height = 1
+        blocked = rng.random((height, width)) < float(rng.choice([0.0, 0.2, 0.4, 0.6]))
+        free = [(x, y) for y in range(height) for x in range(width) if not blocked[y, x]]
+        if len(free) < 2:
+            continue
+        order = [free[i] for i in rng.permutation(len(free))]
+        n_goals = int(rng.integers(1, max(2, len(free) // 4)))
+        goals, starts = order[:n_goals], order[n_goals:n_goals + int(rng.integers(1, 6))]
+        if not starts:
+            continue
+        obstacles = [(x, y) for y in range(height) for x in range(width) if blocked[y, x]]
+        reach = oracles.reference_reach(goals, set(free).__contains__)
+        cut = sorted(c for c in starts if c not in reach)
+        if cut:
+            with pytest.raises(DisconnectedMapError, match=rf"^start \({cut[0][0]}, {cut[0][1]}\) "):
+                GridMap(width, height, obstacles, goals, starts)
+            disconnected += 1
+            continue
+        grid = GridMap(width, height, obstacles, goals, starts)
+        assert (set(grid.obstacles), set(grid.goals), set(grid.starts)) == (
+            set(obstacles), set(goals), set(starts))
+        got = np.flatnonzero(_goal_reach(grid._labels, grid._goal_mask))
+        assert {grid.id_to_cell(int(i)) for i in got} == reach
+        built += 1
+    assert built >= 100 and disconnected >= 50
 
 
 def test_gridmap_rejects_overlap():
