@@ -26,8 +26,8 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
+    _episode_draws,
     _play,
-    _sample_initial_ids,
     action_from_name,
     action_name,
 )
@@ -399,12 +399,12 @@ def _train_tabular(
 ) -> tuple[QTable, Policy, TrainingStats]:
     """Episode loop shared by q_train and mc_train.
 
-    Each episode spawns one child of rng, samples its start cells from it and
-    runs `gridworld._play` with epsilon-greedy behavior on values: an acting
-    agent draws its exploration coin, then one more uniform for a random
-    action when exploring, or else takes the first largest value of its
-    cell's row. Both draws come through _play's read-ahead of the child's
-    uniforms, in that order. record(i, cell, action, next_cell,
+    Each episode spawns one child of rng, which draws the episode by
+    `gridworld._episode_draws` with two behaviour rows, and runs it on
+    `gridworld._play` with epsilon-greedy behavior on values: an acting
+    agent whose first-row uniform is below the episode's epsilon plays
+    int(5 * u) for its second-row uniform u, otherwise the first largest
+    value of its cell's row. record(i, cell, action, next_cell,
     blocked_by_map) sees every turn. fold(), when given, runs after each
     episode and returns its update count; without it every turn counts as
     one update.
@@ -412,21 +412,23 @@ def _train_tabular(
     t0 = time.perf_counter()
     stats = TrainingStats()
     goal = grid._goal_list
+    row2 = world.horizon * world.n_agents  # start of a block's second row
     for e in range(params.episodes):
         if params.time_budget_s is not None and time.perf_counter() - t0 > params.time_budget_s:
             break
         eps = params.epsilon_at(e)
-        r = rng.spawn(1)[0]
+        ids, block = _episode_draws(grid, world.n_agents, world.horizon, 2,
+                                    world.action_noise, rng.spawn(1)[0])
+        draws = memoryview(block.reshape(-1))
 
-        def choose(_i: int, cur: int, rand: Callable[[], float]) -> int:
-            if rand() < eps:
-                return min(int(rand() * N_ACTIONS), N_ACTIONS - 1)
+        def choose(_i: int, cur: int, k: int) -> int:
+            if draws[k] < eps:
+                return min(int(draws[row2 + k] * N_ACTIONS), N_ACTIONS - 1)
             row = values[cur]
             return row.index(max(row))
 
-        ids = [int(v) for v in _sample_initial_ids(grid, world.n_agents, r)]
         turns = _play(grid, ids, [not goal[c] for c in ids], world.horizon,
-                      world.action_noise, r, choose, record)
+                      world.action_noise, draws, choose, record)
         stats.policy_updates += turns if fold is None else fold()
         stats.episodes_run += 1
         stats.goal_reach_count += sum(goal[c] for c in ids)
@@ -451,7 +453,7 @@ def q_train(
     and bootstrap as 0. The returned Policy is the epsilon-greedy extraction
     at explore_end. The update targets the executed action (after any action
     noise), matching what the trajectory records elsewhere in the package.
-    Episodes and draws follow `_train_tabular` and `gridworld._play`.
+    Episodes and draws follow `_train_tabular`.
     """
     lr = params.learning_rate
     gamma = params.discount
@@ -485,8 +487,7 @@ def mc_train(
     pair is folded into a running average; behavior is epsilon-greedy on the
     current averages. policy_updates counts accumulator writes. The returned
     QTable holds the averages; the Policy is the epsilon-greedy extraction at
-    explore_end. Episodes and draws follow `_train_tabular` and
-    `gridworld._play`.
+    explore_end. Episodes and draws follow `_train_tabular`.
     """
     N = world.n_agents
     gamma = params.discount

@@ -31,7 +31,7 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
-    _sample_initial_ids,
+    _episode_draws,
     action_from_name,
     action_name,
     manhattan,
@@ -387,9 +387,9 @@ def _run_episodes(
 ) -> _Episodes:
     """Run one episode per child generator under a fixed behavior policy.
 
-    Draws each child's block up front and then advances every live
-    (episode, agent) pair one tick at a time; the draw layout and the tick
-    rule are the ones documented in train().
+    Draws each child's episode up front by gridworld._episode_draws, with
+    one behaviour row, then advances every live (episode, agent) pair one
+    tick at a time under the tick rule documented in train().
     """
     T = world.horizon
     N = world.n_agents
@@ -402,12 +402,10 @@ def _run_episodes(
     goal = grid._goal_mask
     cdf4 = behavior._cdf[:, :4]
 
-    # (T, N) blocks per child: action uniforms, then with noise coins and picks
     first = np.empty(P, dtype=np.int64)
     draws = np.empty((3 if noise > 0.0 else 1, T, B, N))
     for j, r in enumerate(children):
-        first[j * N:(j + 1) * N] = _sample_initial_ids(grid, N, r)
-        draws[:, :, j] = r.random((len(draws), T, N))
+        first[j * N:(j + 1) * N], draws[:, :, j] = _episode_draws(grid, N, T, 1, noise, r)
     U = draws[0].reshape(T, P)
     if noise > 0.0:
         UN = draws[1].reshape(T, P)
@@ -558,13 +556,12 @@ def train(
     with the tabular learners and is not consulted.
 
     Draw layout. Each episode owns a child generator spawned from rng in
-    episode order, so a fixed seed reproduces the run exactly. A child draws,
-    in this order: the start cells of all N agents; a (T, N) block of action
-    uniforms; with action noise, a (T, N) block of noise coins and then a
-    (T, N) block of noise picks; then one acceptance draw per submitted
-    goal-reaching trajectory, in submission order: by arrival tick, ties by
-    agent index. In ess_test's extra episodes every child first draws its
-    invader coin.
+    episode order, so a fixed seed reproduces the run exactly. A child first
+    draws the episode's start cells and uniform block as
+    gridworld._episode_draws lays them out, with one behaviour row; then one
+    acceptance draw per submitted goal-reaching trajectory, in submission
+    order: by arrival tick, ties by agent index. In ess_test's extra
+    episodes every child draws its invader coin before anything else.
 
     Tick rule. Agent i samples its action from the behavior row of its cell
     at the start of the tick (noise coin below action_noise: a uniform pick

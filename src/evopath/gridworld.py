@@ -425,38 +425,46 @@ def permissible_actions(grid: GridMap, cell: Cell) -> set[Action]:
 # -- stepping ---------------------------------------------------------------
 
 
+def _episode_draws(grid: GridMap, n_agents: int, horizon: int, rows: int, noise: float,
+                   rng: np.random.Generator, place: bool = True) -> tuple[list[int] | None, np.ndarray]:
+    """Draw one episode from rng: the package's one draw layout.
+
+    egt's kernel draws each child's episode here; rollout, step, q_train and
+    mc_train draw theirs here for _play. rng draws the start cells of all
+    n_agents agents (not when place is False: step's cells are given), then
+    a block of uniforms of shape (rows + 2 with noise, horizon, n_agents);
+    [r, t, i] is agent i's row r at tick t. The behaviour's rows come first:
+    1 for a policy (the action uniform), 2 for epsilon-greedy (the
+    exploration coin, then the random action), 0 for given actions. With
+    noise, a coin row and a pick row follow: a coin below noise plays the
+    int(pick * k)-th of the cell's k permissible actions, ascending. The
+    whole block, rows x horizon x n_agents floats as in one kernel episode,
+    is drawn whether or not an agent acts, so no agent's draws depend on
+    which others act.
+    """
+    ids = _sample_initial_ids(grid, n_agents, rng) if place else None
+    return ids, rng.random((rows + 2 * (noise > 0.0), horizon, n_agents))
+
+
 def _play(
     grid: GridMap,
     ids: list[int],
     active: list[bool],
     horizon: int,
     noise: float,
-    rng: np.random.Generator | None,
-    choose: Callable[[int, int, Callable[[], float]], int],
+    draws: Sequence[float],
+    choose: Callable[[int, int, int], int],
     record: Callable[[int, int, int, int, bool], None],
 ) -> int:
     """Run one episode of up to `horizon` ticks over integer cell ids.
 
     This is the package's one scalar copy of the tick rule; step, rollout,
     q_train and mc_train all call it (egt's batched kernel restates it over
-    arrays). Each tick, every active agent i in ascending index order:
-
-    1. takes its intended action a = choose(i, cell, rand), which makes the
-       caller's own draws, at most two, as rand() calls;
-    2. when noise > 0, draws one rand() coin;
-    3. when the coin is below noise, draws one rand() pick and plays the
-       int(pick * k)-th of the cell's k permissible actions, ascending.
-
-    rand() returns rng's next uniform, as rng.random() would, but reads
-    ahead, because a scalar rng.random() costs about 30 times a list pop.
-    The first refill saves rng.bit_generator.state. Before each tick, when
-    fewer unread uniforms remain than 4 per active agent, the most their
-    turns can draw, one vectorized rng.random(k) call appends k more, k at
-    least 64 and at least all drawn so far, so an episode makes few
-    refills. When the episode ends, _play restores the
-    saved state and replays the consumed count in one rng.random(used)
-    call, so rng ends bit-for-bit where scalar draws would leave it, on any
-    bit generator. With rng None nothing may draw.
+    arrays). draws is the flattened _episode_draws block. Each tick, every
+    active agent i in ascending index order takes its action
+    a = choose(i, cell, k), k = t * N + i, with N = len(ids), reading its
+    behaviour row r at draws[r * horizon * N + k]; with noise, _play then
+    reads the agent's coin and pick from the block's last two rows.
 
     The move then resolves at once: an impermissible action leaves the agent
     in place (blocked by the map); a target held by any agent (one that
@@ -464,40 +472,34 @@ def _play(
     place, which blocks both ends of a swap; otherwise the agent moves.
     record(i, cell, a, next_cell, blocked_by_map) follows every turn. An
     agent whose next cell is a goal becomes inactive: it freezes there and
-    keeps blocking its cell. Inactive agents draw nothing. The episode stops
+    keeps blocking its cell. Inactive agents read nothing. The episode stops
     early once no agent is active. ids and active are updated in place.
     Returns the number of turns taken, which is the number of record calls.
     """
     target = grid._target_list
     goal = grid._goal_list
     stay = int(Action.STAY)
+    N = len(ids)
     noisy = noise > 0.0
     if noisy:
         picks, counts = grid._pick_bytes
-    # unread uniforms, last drawn first, so that pop() hands them out in order
-    ahead: list[float] = []
-    rand = ahead.pop
-    drawn = 0
+        coin = len(draws) - 2 * horizon * N
+        pick = coin + horizon * N
     occupied = set(ids)
-    agents = range(len(ids))
+    agents = range(N)
     n_active = sum(active)
     turns = 0
-    for _t in range(horizon):
+    for t in range(horizon):
         if n_active == 0:
             break
-        if rng is not None and len(ahead) < 4 * n_active:
-            if not drawn:
-                saved = rng.bit_generator.state
-            k = max(4 * n_active, drawn, 64)
-            ahead[:0] = rng.random(k)[::-1].tolist()
-            drawn += k
         for i in agents:
             if not active[i]:
                 continue
             cur = ids[i]
-            a = choose(i, cur, rand)
-            if noisy and rand() < noise:
-                a = picks[N_ACTIONS * cur + int(rand() * counts[cur])]
+            k = t * N + i
+            a = choose(i, cur, k)
+            if noisy and draws[coin + k] < noise:
+                a = picks[N_ACTIONS * cur + int(draws[pick + k] * counts[cur])]
             tgt = target[cur][a]
             # only Stay and impermissible actions target their own cell
             blocked_map = tgt == cur and a != stay
@@ -511,9 +513,6 @@ def _play(
             if goal[nxt]:
                 active[i] = False
                 n_active -= 1
-    if drawn:
-        rng.bit_generator.state = saved
-        rng.random(drawn - len(ahead))
     return turns
 
 
@@ -534,11 +533,12 @@ def step(
     action_noise: float = 0.0,
     frozen: Sequence[bool] | None = None,
 ) -> StepOutcome:
-    """Advance all agents one tick under the rule and draw order of `_play`.
+    """Advance all agents one tick under the rule of `_play`.
 
     With probability `action_noise` an agent's action is resampled uniformly
-    from its permissible set (requires rng). Frozen agents keep their cell,
-    consume no randomness and report only REACHED_GOAL. With action_noise 0
+    from its permissible set (requires rng), by an _episode_draws block of
+    noise rows for all agents. Frozen agents keep their cell, read nothing
+    and report only REACHED_GOAL. With action_noise 0 nothing is drawn and
     the result is a pure function of the inputs.
     """
     if len(actions) != len(cells):
@@ -581,9 +581,9 @@ def step(
             ev |= StepEvent.REACHED_GOAL
         events[i] = ev
 
-    # without noise nothing draws, so _play gets no generator to read ahead from
-    _play(grid, ids, active, 1, action_noise, rng if action_noise > 0.0 else None,
-          lambda i, _cur, _rand: acts[i], record)
+    draws = (_episode_draws(grid, len(ids), 1, 0, action_noise, rng, place=False)[1].ravel().tolist()
+             if action_noise > 0.0 else ())
+    _play(grid, ids, active, 1, action_noise, draws, lambda i, _cur, _k: acts[i], record)
     return StepOutcome(
         next_cells=tuple(grid.id_to_cell(i) for i in ids),
         events=tuple(events),
@@ -607,7 +607,7 @@ def reward(
     return cfg.delta1
 
 
-def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) -> list[int]:
     """Draw n distinct start cell ids weighted by the start distribution."""
     ids, probs, _ = grid._start_arrays
     if n_agents < 1:
@@ -625,13 +625,13 @@ def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) 
             if k not in taken:
                 taken.add(k)
                 chosen.append(int(ids[k]))
-        return np.asarray(chosen, dtype=np.int64)
+        return chosen
     # dense request: weighted order statistics (u ** (1/w) keys, largest first)
     keys = rng.random(len(ids)) ** (1.0 / probs)
     order = np.argsort(-keys, kind="stable")
-    return ids[order[:n_agents]].astype(np.int64)
+    return ids[order[:n_agents]].tolist()
 
 
 def sample_initial(grid: GridMap, n_agents: int, rng: np.random.Generator) -> list[Cell]:
     """Sample distinct start cells without replacement, weighted by the start distribution."""
-    return [grid.id_to_cell(int(i)) for i in _sample_initial_ids(grid, n_agents, rng)]
+    return [grid.id_to_cell(i) for i in _sample_initial_ids(grid, n_agents, rng)]

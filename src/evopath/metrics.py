@@ -9,7 +9,7 @@ update counts, and timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
+    _episode_draws,
     _play,
-    _sample_initial_ids,
     manhattan,
 )
 
@@ -97,10 +97,10 @@ def rollout(
 ) -> EpisodeRecord:
     """Simulate one episode of N agents sharing one policy for up to T steps.
 
-    Start cells come from rng, then the tick rule and draw order are
-    `gridworld._play`'s; each acting agent first draws one uniform for its
-    policy action through _play's read-ahead, which leaves rng where scalar
-    rng.random() calls would. Agents that start on a goal never act.
+    rng draws the episode by `gridworld._episode_draws` with one behaviour
+    row, as an episode of egt's batched kernel does, so on the same
+    generator the two play the same episode; the tick rule is
+    `gridworld._play`'s. Agents that start on a goal never act.
     Trajectories record the action actually executed (after any action
     noise).
     """
@@ -110,15 +110,16 @@ def rollout(
     # a flat zero-copy view; tolist() would rebuild the table on every call
     cdf = memoryview(policy._cdf.reshape(-1))
 
-    ids = [int(v) for v in _sample_initial_ids(grid, N, rng)]
+    ids, block = _episode_draws(grid, N, world.horizon, 1, world.action_noise, rng)
+    draws = memoryview(block.reshape(-1))
     s_tr: list[list[int]] = [[] for _ in range(N)]
     a_tr: list[list[int]] = [[] for _ in range(N)]
     ret = [0.0] * N
 
-    def choose(_i: int, cur: int, rand: Callable[[], float]) -> int:
-        u = rand()
-        k = N_ACTIONS * cur
-        return (cdf[k] < u) + (cdf[k + 1] < u) + (cdf[k + 2] < u) + (cdf[k + 3] < u)
+    def choose(_i: int, cur: int, k: int) -> int:
+        u = draws[k]
+        c = N_ACTIONS * cur
+        return (cdf[c] < u) + (cdf[c + 1] < u) + (cdf[c + 2] < u) + (cdf[c + 3] < u)
 
     def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
         s_tr[i].append(cur)
@@ -126,7 +127,7 @@ def rollout(
         ret[i] += d3 if goal[nxt] else d2 if blocked_map else d1
 
     _play(grid, ids, [not goal[c] for c in ids], world.horizon, world.action_noise,
-          rng, choose, record)
+          draws, choose, record)
 
     w = grid.width
     trajectories = tuple(

@@ -576,81 +576,65 @@ def reference_fitness(grid, world, policy, rng, episodes):
 
 
 def reference_rollout(grid, world, reward_cfg, policy, rng):
-    """One evaluation rollout, agent by agent in index order.
+    """One evaluation rollout: reference_episode's episode, scored.
 
-    Takes its draws from rng in the scalar order: start cells (through the
-    public sample_initial), then per tick, per acting agent in index order,
-    one policy uniform and, with noise, a coin and, when the coin is below
-    the noise level, a pick over the cell's permissible actions in ascending
-    order. Moves resolve against a set of occupied cells; an agent on a goal
-    freezes and keeps its cell. Rewards: d3 on a goal, d2 when blocked by
-    the map, d1 otherwise. Each agent's minimum distance comes from
-    min_hazard_distance over its own ticks against every other agent's cell
-    at the same tick, read from a per-tick snapshot of all cells.
+    Rewards per step: d3 on the step that enters a goal, d2 when the move is
+    blocked by the map, d1 otherwise. Each agent's minimum distance comes
+    from min_hazard_distance over its own ticks against every other agent's
+    cell at the same tick; an agent whose steps have ended stays on its
+    final cell.
 
     Returns (per agent (steps, final cell, reached), returns, distances).
     """
-    from evopath.gridworld import sample_initial
+    N = world.n_agents
+    w, h, obstacles = grid.width, grid.height, grid.obstacles
+    trajectories, _order = reference_episode(grid, world, policy, rng)
 
-    T, N, noise = world.horizon, world.n_agents, world.action_noise
-    w, h, obstacles, goals = grid.width, grid.height, grid.obstacles, grid.goals
-    cells = sample_initial(grid, N, rng)
-    occupied = set(cells)
-    done = [c in goals for c in cells]
-    steps = [[] for _ in range(N)]
-    returns = [0.0] * N
-    history = [list(cells)]
-    for t in range(T):
-        if all(done):
-            break
-        for i in range(N):
-            if done[i]:
-                continue
-            cur = cells[i]
-            cdf = np.cumsum(policy.probs_at(cur)).tolist()
-            u = rng.random()
-            a = sum(cdf[k] < u for k in range(4))
-            if noise > 0.0 and rng.random() < noise:
-                allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
-                a = allowed[int(rng.random() * len(allowed))]
-            steps[i].append((cur, a))
-            nxt, blocked = transition(cur, a, w, h, obstacles)
-            if not blocked and nxt not in occupied:
-                occupied.remove(cur)
-                occupied.add(nxt)
-                cells[i] = nxt
-            if cells[i] in goals:
-                done[i] = True
-                returns[i] += reward_cfg.delta3
-            else:
-                returns[i] += reward_cfg.delta2 if blocked else reward_cfg.delta1
-        history.append(list(cells))
+    def cell_at(j, t):
+        steps, final, _ = trajectories[j]
+        return steps[t][0] if t < len(steps) else final
+
+    returns = []
     distances = []
-    for i in range(N):
-        positions = [c for c, _ in steps[i]] + [cells[i]]
-        others = [[row[j] for j in range(N) if j != i] for row in history]
+    for i, (steps, _final, reached) in enumerate(trajectories):
+        total = 0.0
+        for t, (cell, a) in enumerate(steps):
+            if reached and t == len(steps) - 1:
+                total += reward_cfg.delta3
+            elif transition(cell, a, w, h, obstacles)[1]:
+                total += reward_cfg.delta2
+            else:
+                total += reward_cfg.delta1
+        returns.append(total)
+        ticks = range(len(steps) + 1)
+        positions = [cell_at(i, t) for t in ticks]
+        others = [[cell_at(j, t) for j in range(N) if j != i] for t in ticks]
         distances.append(min_hazard_distance(positions, w, h, obstacles, others))
-    trajectories = [(steps[i], cells[i], cells[i] in goals) for i in range(N)]
     return trajectories, returns, distances
 
 
 def reference_step(grid, cells, actions, rng, noise, frozen):
     """One joint tick of given actions, agent by agent in index order.
 
-    A frozen agent keeps its cell and draws nothing. With noise, every other
-    agent draws a rng.random() coin and, below the noise level, a pick over
-    its cell's permissible actions in ascending order. Returns the next cells.
+    With noise, rng draws a row of coins, then a row of picks, one of each
+    per agent, frozen or not. A frozen agent keeps its cell and reads
+    nothing; another agent whose coin is below the noise level plays its
+    pick over its cell's permissible actions in ascending order. Returns the
+    next cells.
     """
     w, h, obstacles = grid.width, grid.height, grid.obstacles
     cells = list(cells)
+    if noise > 0.0:
+        coins = rng.random(len(cells)).tolist()
+        picks = rng.random(len(cells)).tolist()
     occupied = set(cells)
     for i, cur in enumerate(cells):
         if frozen[i]:
             continue
         a = int(actions[i])
-        if noise > 0.0 and rng.random() < noise:
+        if noise > 0.0 and coins[i] < noise:
             allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
-            a = allowed[int(rng.random() * len(allowed))]
+            a = allowed[int(picks[i] * len(allowed))]
         nxt, blocked = transition(cur, a, w, h, obstacles)
         if not blocked and nxt not in occupied:
             occupied.remove(cur)
@@ -662,16 +646,17 @@ def reference_step(grid, cells, actions, rng, noise, frozen):
 def reference_tabular(grid, world, reward_cfg, params, rng, method):
     """Q-learning ("q") or first-visit Monte Carlo ("mc") tables, written out.
 
-    Each episode spawns one child of rng and takes every draw from it with
-    scalar rng.random() calls: start cells (through the public
-    sample_initial), then per tick, per acting agent in index order, an
-    exploration coin, a uniform for a random action int(u * 5) when the coin
-    is below the episode's epsilon (else the first largest value of the
-    cell's row), and, with noise, a coin and a pick over the cell's
-    permissible actions in ascending order. Moves resolve against a set of
-    occupied cells; an agent on a goal freezes and keeps its cell, and one
-    that starts there never acts. Rewards: d3 on a goal, d2 when blocked by
-    the map, d1 otherwise.
+    Each episode spawns one child of rng and takes every draw from it:
+    start cells (through the public sample_initial), then (T, N) blocks of
+    exploration coins, of random-action uniforms and, with noise, of noise
+    coins and of picks. Per tick, per acting agent in index order, the agent
+    plays int(u * 5) for its random-action uniform u when its exploration
+    coin is below the episode's epsilon (else the first largest value of the
+    cell's row); a noise coin below the noise level replaces that by the
+    pick over the cell's permissible actions in ascending order. Moves
+    resolve against a set of occupied cells; an agent on a goal freezes and
+    keeps its cell, and one that starts there never acts. Rewards: d3 on a
+    goal, d2 when blocked by the map, d1 otherwise.
 
     Q applies r + gamma * max Q(next) (0 on a goal) at rate learning_rate
     after every turn. MC, after each episode and agent by agent, adds the
@@ -691,27 +676,32 @@ def reference_tabular(grid, world, reward_cfg, params, rng, method):
         eps = params.epsilon_at(e)
         r = rng.spawn(1)[0]
         cells = sample_initial(grid, N, r)
+        explore = r.random((T, N)).tolist()
+        uniforms = r.random((T, N)).tolist()
+        if noise > 0.0:
+            coins = r.random((T, N)).tolist()
+            picks = r.random((T, N)).tolist()
         occupied = set(cells)
         done = [c in goals for c in cells]
         visits = [[] for _ in range(N)]
-        for _t in range(T):
+        for t in range(T):
             if all(done):
                 break
             for i in range(N):
                 if done[i]:
                     continue
                 cur = cells[i]
-                if r.random() < eps:
-                    a = min(int(r.random() * 5), 4)
+                if explore[t][i] < eps:
+                    a = min(int(uniforms[t][i] * 5), 4)
                 else:
                     row = values[cur]
                     a = 0
                     for k in range(1, 5):
                         if row[k] > row[a]:
                             a = k
-                if noise > 0.0 and r.random() < noise:
+                if noise > 0.0 and coins[t][i] < noise:
                     allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
-                    a = allowed[int(r.random() * len(allowed))]
+                    a = allowed[int(picks[t][i] * len(allowed))]
                 nxt, blocked = transition(cur, a, w, h, obstacles)
                 if not blocked and nxt not in occupied:
                     occupied.remove(cur)

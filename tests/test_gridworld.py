@@ -303,18 +303,25 @@ def test_step_frozen_agent_holds_and_blocks():
     assert out.events[1] == StepEvent.BLOCKED_BY_AGENT
 
 
-def test_step_frozen_consumes_no_randomness():
-    g = small()
-    r1 = np.random.default_rng(5)
-    out1 = step(
-        g, [(0, 0), (0, 2)], [Action.STAY, Action.RIGHT],
-        rng=r1, action_noise=1.0, frozen=[True, False],
-    )
-    r2 = np.random.default_rng(5)
-    step(g, [(0, 2)], [Action.RIGHT], rng=r2, action_noise=1.0)
-    # identical residual streams: the frozen slot drew nothing
-    assert r1.random() == r2.random()
-    assert out1.next_cells[0] == (0, 0)
+def test_step_freezing_an_agent_changes_no_other_agents_draws():
+    # agent 0 sits far from the others, so only the draws could couple them:
+    # every agent owns a fixed column of the coin and pick rows, frozen or not
+    g = GridMap(9, 9, goals=[(8, 8)], starts=[(0, 0)])
+    cells = [(0, 0), (5, 5), (6, 3)]
+    actions = [Action.STAY, Action.RIGHT, Action.UP]
+    for seed in range(40):
+        r1 = np.random.default_rng(seed)
+        frozen_out = step(g, cells, actions, rng=r1, action_noise=1.0,
+                          frozen=[True, False, False])
+        r2 = np.random.default_rng(seed)
+        free_out = step(g, cells, actions, rng=r2, action_noise=1.0)
+        assert frozen_out.next_cells[0] == (0, 0)
+        assert frozen_out.next_cells[1:] == free_out.next_cells[1:]
+        assert frozen_out.events[1:] == free_out.events[1:]
+        # either way the step drew one coin row and one pick row for all agents
+        r3 = np.random.default_rng(seed)
+        r3.random((2, 1, len(cells)))
+        assert r1.random() == r2.random() == r3.random()
 
 
 @pytest.mark.parametrize("frozen", [[True], [False, False, True]])

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evopath.bench import GenerationError, gen_map
-from evopath.egt import Policy, TrainingStats, Trajectory
-from evopath.gridworld import Action, GridMap, RewardConfig, WorldConfig, _play, parse_map, step
+from evopath.egt import Policy, TrainingStats, Trajectory, _evaluate_fitness, _run_episodes, fitness
+from evopath.gridworld import (
+    Action, GridMap, RewardConfig, WorldConfig, _play, parse_map, sample_initial, step,
+)
 from evopath.metrics import (
     EpisodeRecord,
     MetricsReport,
@@ -396,9 +398,9 @@ def test_rollout_matches_reference_on_crowded_fuzzed_maps():
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_read_ahead_leaves_any_bit_generator_where_scalar_draws_would(bit_generator):
-    def twins(seed):
-        return np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+def test_rollout_and_step_leave_any_bit_generator_after_their_block(bit_generator):
+    def triplets(seed):
+        return tuple(np.random.Generator(bit_generator(seed)) for _ in range(3))
 
     rng = np.random.default_rng(99)
     checked = 0
@@ -409,15 +411,19 @@ def test_read_ahead_leaves_any_bit_generator_where_scalar_draws_would(bit_genera
         except GenerationError:
             continue
         noise = (0.0, 0.3, 1.0)[checked % 3]
+        rows = 3 if noise > 0.0 else 1
         n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
         world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
                             action_noise=noise)
         policy = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
-        run, ref_run = twins(int(rng.integers(1 << 30)))
+        run, ref_run, layout = triplets(int(rng.integers(1 << 30)))
         rec = rollout(grid, world, RCFG, policy, run)
         ref = reference_rollout(grid, world, RCFG, policy, ref_run)
         assert [(tau.steps, tau.final, tau.reached_goal) for tau in rec.trajectories] == ref[0]
-        assert run.random() == ref_run.random()
+        # the episode's draws: start cells, then the whole (rows, T, N) block
+        sample_initial(grid, n_agents, layout)
+        layout.random((rows, world.horizon, n_agents))
+        assert run.random() == ref_run.random() == layout.random()
 
         cells = grid.free_cells()
         cells = [cells[j] for j in rng.permutation(len(cells))[:n_agents]]
@@ -425,22 +431,68 @@ def test_read_ahead_leaves_any_bit_generator_where_scalar_draws_would(bit_genera
         frozen = (rng.random(n_agents) < 0.3).tolist()
         out = step(grid, cells, actions, run, action_noise=noise, frozen=frozen)
         assert out.next_cells == reference_step(grid, cells, actions, ref_run, noise, frozen)
-        assert run.random() == ref_run.random()
+        # a noisy step draws a coin row and a pick row, frozen agents included
+        layout.random((rows - 1, 1, n_agents))
+        assert run.random() == ref_run.random() == layout.random()
         checked += 1
 
-    # calls that draw nothing leave the generator as it was
+    # agents parked from the start still draw their block; calls without
+    # noise or without ticks read nothing
     parked = GridMap(3, 1, goals=[(0, 0), (2, 0)], starts=[(0, 0), (2, 0)])
-    run, ref_run = twins(7)
+    run, ref_run, layout = triplets(7)
     world = WorldConfig(n_agents=2, horizon=5, action_noise=1.0)
     rec = rollout(parked, world, RCFG, Policy.uniform(parked), run)
     assert rec.trajectories[0].steps == rec.trajectories[1].steps == []
     reference_rollout(parked, world, RCFG, Policy.uniform(parked), ref_run)
-    assert run.random() == ref_run.random()
+    sample_initial(parked, 2, layout)
+    layout.random((3, 5, 2))
+    assert run.random() == ref_run.random() == layout.random()
     step(parked, [(1, 0)], [RIGHT], run, action_noise=0.0)
-    assert run.random() == ref_run.random()
-    _play(parked, [1], [True], 0, 1.0, run, lambda _i, _cur, rand: int(rand() * 5),
-          lambda *turn: None)
-    assert run.random() == ref_run.random()
+    assert run.random() == ref_run.random() == layout.random()
+    # a zero-tick episode reads no draw (its block is empty) and plays no turn
+    turns = []
+    assert _play(parked, [1], [True], 0, 1.0, (), lambda _i, _cur, k: int(()[k] * 5),
+                 lambda *turn: turns.append(turn)) == 0
+    assert turns == []
+
+
+def test_rollout_reproduces_the_batched_kernel_episode():
+    # the scalar driver and egt's kernel read one draw layout, so on the same
+    # generator they must play the same episode, whatever N, noise and horizon
+    rng = np.random.default_rng(2024)
+    for noise in (0.0, 0.3, 1.0):
+        checked = 0
+        while checked < 30:
+            w, h = (int(v) for v in rng.integers(3, 9, size=2))
+            try:
+                grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+            except GenerationError:
+                continue
+            n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+            horizon = 1 if checked % 5 == 0 else int(rng.integers(2, 3 * (w + h)))
+            world = WorldConfig(n_agents=n_agents, horizon=horizon, action_noise=noise)
+            policy = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
+            seed = int(rng.integers(1 << 30))
+            run, kernel_run = np.random.default_rng(seed), np.random.default_rng(seed)
+            rec = rollout(grid, world, RCFG, policy, run)
+            ep = _run_episodes(grid, world, policy, [kernel_run])
+            got = [([(grid.cell_id(c), int(a)) for c, a in tau.steps],
+                    grid.cell_id(tau.final), tau.reached_goal) for tau in rec.trajectories]
+            want = [(list(zip(ep.S[i, :ep.steps[i]].tolist(), ep.A[i, :ep.steps[i]].tolist())),
+                     int(ep.cells[i]), bool(grid._goal_mask[ep.cells[i]])) for i in range(n_agents)]
+            assert got == want, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
+            assert ep.stretches(grid.width).tolist() == [fitness(t) for t in rec.trajectories]
+            assert run.random() == kernel_run.random()
+
+            # the kernel's fitness evaluation, recomputed from rollouts on its children
+            episodes = int(rng.integers(1, 6))
+            total = 0.0
+            for child in np.random.default_rng(seed).spawn(episodes):
+                for tau in rollout(grid, world, RCFG, policy, child).trajectories:
+                    total += -min(fitness(tau), float(horizon))
+            assert _evaluate_fitness(grid, world, policy, np.random.default_rng(seed), episodes) \
+                == total / (episodes * n_agents)
+            checked += 1
 
 
 # -- aggregate -------------------------------------------------------------------
