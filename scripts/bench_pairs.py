@@ -15,10 +15,16 @@ whether the medians differ by more than the before side's interquartile
 range, and, for end-to-end metrics, whether the after median is worse than
 the before median by more than the benchmark's bound. Runs already under a
 key are kept, and the summary covers all of them.
+
+Each run records the checkout's git revision, which reads "unknown" for a
+tree without .git (a `git archive` copy), and src_digest, a digest of the
+checkout's src/ tree that ties the run to its code either way (see
+src_digest for how to re-digest a commit).
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -26,6 +32,26 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 of tree/src, for matching a run to a commit.
+
+    Per file, in sorted order of its POSIX path relative to src/: the path, a
+    NUL, its size in bytes, a NUL, then its bytes. Build output is skipped:
+    files under __pycache__ or *.egg-info directories. To re-digest a commit,
+    run `git archive REV src | tar -x -C DIR`, then src_digest(DIR).
+    """
+    src = tree / "src"
+    h = hashlib.sha256()
+    for path in sorted(src.rglob("*"), key=lambda p: p.relative_to(src).as_posix()):
+        rel = path.relative_to(src)
+        if not path.is_file() or any(d == "__pycache__" or d.endswith(".egg-info") for d in rel.parts):
+            continue
+        data = path.read_bytes()
+        h.update(f"{rel.as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def run_once(tree: Path, workload: str, seconds: float, trace: int, seed: int | None) -> dict:
@@ -44,6 +70,7 @@ def run_once(tree: Path, workload: str, seconds: float, trace: int, seed: int | 
         "failed": result["failed"],
         "failures": [line.removeprefix("# FAILED ") for line in lines if line.startswith("# FAILED")],
         "git_revision": env.get("git_revision"),
+        "src_digest": src_digest(tree),
     }
 
 

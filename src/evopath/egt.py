@@ -9,9 +9,13 @@ Training can either keep a uniform random behavior policy throughout
 counters ("iterative" mode, the default).
 
 Training, the invasion test's extra episodes and its fitness evaluation all
-run on one batched kernel that advances every live (episode, agent) pair one
-tick at a time under a fixed behavior policy; train() documents its
-per-episode draw layout, its tick rule and its submission rule.
+run on one batched kernel, _run_episodes. It draws nothing: _draw_batch draws
+a batch's start cells and uniform block from the episodes' generators, and
+the kernel plays them, advancing every live (episode, agent) pair one tick
+at a time under a stack of fixed behavior policies with a policy index per
+pair. Training and fitness evaluation pass one policy; the invasion test
+passes the invader and the incumbent. train() documents the per-episode draw
+layout, the tick rule and the submission rule.
 """
 from __future__ import annotations
 
@@ -379,37 +383,57 @@ class _Episodes:
         return _stretches(self.steps, np.abs(f % width - c % width) + np.abs(f // width - c // width))
 
 
+def _draw_batch(
+    grid: GridMap, world: WorldConfig, children: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one episode per child generator by gridworld._episode_draws.
+
+    Each child draws its start cells and its uniform block, with one
+    behaviour row, in child order. Returns the start cells, shape (pairs,),
+    and the block, shape (rows, T, pairs); pair p = b * n_agents + i is agent
+    i of child b's episode.
+    """
+    T, N, noise = world.horizon, world.n_agents, world.action_noise
+    B = len(children)
+    first = np.empty(B * N, dtype=np.int64)
+    draws = np.empty((3 if noise > 0.0 else 1, T, B, N))
+    for j, r in enumerate(children):
+        first[j * N:(j + 1) * N], draws[:, :, j] = _episode_draws(grid, N, T, 1, noise, r)
+    return first, draws.reshape(len(draws), T, B * N)
+
+
 def _run_episodes(
     grid: GridMap,
     world: WorldConfig,
-    behavior: Policy,
-    children: Sequence[np.random.Generator],
+    cdfs: np.ndarray,
+    index: np.ndarray,
+    first: np.ndarray,
+    draws: np.ndarray,
 ) -> _Episodes:
-    """Run one episode per child generator under a fixed behavior policy.
+    """Run a batch of episodes from their draws under a stack of fixed policies.
 
-    Draws each child's episode up front by gridworld._episode_draws, with
-    one behaviour row, then advances every live (episode, agent) pair one
-    tick at a time under the tick rule documented in train().
+    A pure function of its draws and its policy stack: it draws nothing.
+    first and draws are the start cells and the (rows, T, pairs) uniform
+    block that _draw_batch returns. cdfs stacks the CDF rows of K behavior
+    policies, shape (K, n_cells, 5), and pair p acts by policy index[p].
+    Every live (episode, agent) pair advances one tick at a time under the
+    tick rule documented in train().
     """
     T = world.horizon
     N = world.n_agents
     noise = world.action_noise
-    B = len(children)
-    P = B * N
+    P = len(first)
+    B = P // N
     # an impermissible move targets the agent's own cell
     _, target = grid._perm_target
     padded, counts = grid._perm_choices
     goal = grid._goal_mask
-    cdf4 = behavior._cdf[:, :4]
-
-    first = np.empty(P, dtype=np.int64)
-    draws = np.empty((3 if noise > 0.0 else 1, T, B, N))
-    for j, r in enumerate(children):
-        first[j * N:(j + 1) * N], draws[:, :, j] = _episode_draws(grid, N, T, 1, noise, r)
-    U = draws[0].reshape(T, P)
+    # pair p's behavior row for cell c is cdf4[row[p] + c]
+    cdf4 = cdfs.reshape(-1, N_ACTIONS)[:, :4]
+    row = index * grid.n_cells
+    U = draws[0]
     if noise > 0.0:
-        UN = draws[1].reshape(T, P)
-        UP = draws[2].reshape(T, P)
+        UN, UP = draws[1], draws[2]
 
     cells = first.copy()
     S = np.zeros((P, T), dtype=np.int32)
@@ -428,7 +452,7 @@ def _run_episodes(
             break
         c = cells[live]
         u = U[t, live]
-        a = (cdf4[c] < u[:, None]).sum(axis=1)
+        a = (cdf4[row[live] + c] < u[:, None]).sum(axis=1)
         if noise > 0.0:
             fire = UN[t, live] < noise
             if fire.any():
@@ -526,16 +550,19 @@ def _train_episodes(
     world: WorldConfig,
     params: EGTParams,
     table: CounterTable,
-    behavior: Policy,
+    cdfs: np.ndarray,
+    index: np.ndarray,
     children: Sequence[np.random.Generator],
     stats: TrainingStats,
 ) -> None:
     """Run a batch of training episodes and submit every trajectory.
 
+    Each child draws its episode (_draw_batch) and then its acceptance draws;
+    pair p acts by policy index[p] of the stack cdfs (see _run_episodes).
     Pairs that start on a goal have no steps and draw nothing: they submit
     as failed, which moves nothing.
     """
-    ep = _run_episodes(grid, world, behavior, children)
+    ep = _run_episodes(grid, world, cdfs, index, *_draw_batch(grid, world, children))
     reached = grid._goal_mask[ep.cells]
     touched = _submit(table, params, ep, reached & (ep.steps > 0), children)
     stats.policy_updates += int(np.count_nonzero(touched))
@@ -558,10 +585,11 @@ def train(
     Draw layout. Each episode owns a child generator spawned from rng in
     episode order, so a fixed seed reproduces the run exactly. A child first
     draws the episode's start cells and uniform block as
-    gridworld._episode_draws lays them out, with one behaviour row; then one
-    acceptance draw per submitted goal-reaching trajectory, in submission
-    order: by arrival tick, ties by agent index. In ess_test's extra
-    episodes every child draws its invader coin before anything else.
+    gridworld._episode_draws lays them out, with one behaviour row
+    (_draw_batch draws a batch's children in order before the kernel runs);
+    then one acceptance draw per submitted goal-reaching trajectory, in
+    submission order: by arrival tick, ties by agent index. In ess_test's
+    extra episodes every child draws its invader coin before anything else.
 
     Tick rule. Agent i samples its action from the behavior row of its cell
     at the start of the tick (noise coin below action_noise: a uniform pick
@@ -593,7 +621,8 @@ def train(
             behavior = uniform
             chunk = params.episodes - e
         for children in _spawn_batches(rng, chunk, world, grid):
-            _train_episodes(grid, world, params, table, behavior, children, stats)
+            index = np.zeros(len(children) * world.n_agents, dtype=np.intp)
+            _train_episodes(grid, world, params, table, behavior._cdf[None], index, children, stats)
         e += chunk
     policy = construct_policy(table, params.epsilon, grid)
     stats.wall_time = time.perf_counter() - t0
@@ -616,8 +645,12 @@ def _evaluate_fitness(
     any trajectory can attain, so degenerate loops cannot drag the mean to
     -inf.
     """
-    u = np.concatenate([_run_episodes(grid, world, policy, children).stretches(grid.width)
-                        for children in _spawn_batches(rng, episodes, world, grid)])
+    stretches = []
+    for children in _spawn_batches(rng, episodes, world, grid):
+        index = np.zeros(len(children) * world.n_agents, dtype=np.intp)
+        ep = _run_episodes(grid, world, policy._cdf[None], index, *_draw_batch(grid, world, children))
+        stretches.append(ep.stretches(grid.width))
+    u = np.concatenate(stretches)
     # cumsum adds in (episode, agent) order, as a running total would
     return float(np.cumsum(-np.minimum(u, float(world.horizon)))[-1]) / (episodes * world.n_agents)
 
@@ -657,33 +690,72 @@ def ess_test(
 ) -> ESSReport:
     """Train, then continue training under an invading behavior policy.
 
-    During the extra episodes each episode's behavior is the invader
-    (uniform random unless one is supplied) with probability p_new, decided
-    by the first draw of the episode's generator, else the trained policy;
-    counter updates keep flowing. Fitness is evaluated over eval_episodes
-    (at least 1) episodes of the same kernel, without updates. The trained policy is an
-    equilibrium for the report when its greedy map barely changes and the
-    re-evaluated fitness did not drop by more than fitness_tolerance.
+    train() runs on rng first, then _invade tests the trained incumbent on
+    what is left of rng. During the extra episodes each episode's behavior
+    is the invader (uniform random unless one is supplied) with probability
+    p_new, decided by the first draw of the episode's generator, else the
+    trained policy; counter updates keep flowing. Each batch of extra
+    episodes is one kernel call over the stack (invader, incumbent), with a
+    policy index per pair. Fitness is evaluated over eval_episodes (at least
+    1) episodes of the same kernel, without updates. The trained policy is
+    an equilibrium for the report when its greedy map barely changes and the
+    re-evaluated fitness did not drop by more than fitness_tolerance. A bad
+    argument raises ValueError before any training.
     """
+    _check_invasion(p_new, extra_episode_fraction, eval_episodes)
+    policy, table, _ = train(grid, world, params, reward_cfg, rng)
+    return _invade(grid, world, params, policy, table, p_new, extra_episode_fraction, rng,
+                   eval_episodes=eval_episodes, agreement_threshold=agreement_threshold,
+                   fitness_tolerance=fitness_tolerance, invader=invader)
+
+
+def _check_invasion(p_new: float, extra_episode_fraction: float, eval_episodes: int) -> None:
     if not 0.0 <= p_new <= 1.0:
         raise ValueError("p_new must lie in [0, 1]")
     if extra_episode_fraction < 0.0:
         raise ValueError("extra_episode_fraction must be >= 0")
     if eval_episodes < 1:
         raise ValueError("eval_episodes must be >= 1")
-    policy, table, _ = train(grid, world, params, reward_cfg, rng)
+
+
+def _invade(
+    grid: GridMap,
+    world: WorldConfig,
+    params: EGTParams,
+    policy: Policy,
+    table: CounterTable,
+    p_new: float,
+    extra_episode_fraction: float,
+    rng: np.random.Generator,
+    *,
+    eval_episodes: int,
+    agreement_threshold: float,
+    fitness_tolerance: float,
+    invader: Policy | None,
+) -> ESSReport:
+    """ess_test's invasion step on a held incumbent, without retraining it.
+
+    policy and table are the incumbent as train() returned them, and rng is
+    the generator train() consumed: passing that same object, not a copy of
+    its bit_generator state (which lacks SeedSequence's spawn count), gives
+    ess_test's report. Training continues on a copy of table, so the held
+    table is unchanged; the extra episodes number extra_episode_fraction *
+    params.episodes, rounded.
+    """
+    _check_invasion(p_new, extra_episode_fraction, eval_episodes)
     before = greedy_action_map(table)
     fit_before = _evaluate_fitness(grid, world, policy, rng, eval_episodes)
 
+    table = table.copy()
     extra = int(round(extra_episode_fraction * params.episodes))
     stats = TrainingStats()
     inv = invader if invader is not None else Policy.uniform(grid)
+    cdfs = np.stack([inv._cdf, policy._cdf])
     for children in _spawn_batches(rng, extra, world, grid):
-        invaded = [r.random() < p_new for r in children]
-        for behavior, flag in ((inv, True), (policy, False)):
-            group = [r for r, f in zip(children, invaded) if f == flag]
-            if group:
-                _train_episodes(grid, world, params, table, behavior, group, stats)
+        # index 0, the invader, for episodes whose coin falls below p_new
+        incumbent = np.array([r.random() >= p_new for r in children], dtype=np.intp)
+        _train_episodes(grid, world, params, table, cdfs, np.repeat(incumbent, world.n_agents),
+                        children, stats)
 
     final_policy = construct_policy(table, params.epsilon, grid)
     after = greedy_action_map(table)

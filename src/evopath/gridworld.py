@@ -189,9 +189,12 @@ class GridMap:
     def _validate(self) -> None:
         for label, cells in (("obstacle", self.obstacles), ("goal", self.goals),
                              ("start", self.starts)):
-            for c in cells:
-                if not self.in_bounds(c):
-                    raise MapError(f"{label} cell {c} is out of bounds")
+            if not cells:
+                continue
+            xs, ys = zip(*cells)
+            if min(xs) < 0 or max(xs) >= self.width or min(ys) < 0 or max(ys) >= self.height:
+                bad = next(c for c in cells if not self.in_bounds(c))
+                raise MapError(f"{label} cell {bad} is out of bounds")
         if self.obstacles & self.goals:
             raise MapError("obstacles and goals overlap")
         if self.obstacles & set(self.starts):
@@ -312,7 +315,7 @@ class GridMap:
     def _start_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(start ids, probabilities, cumulative probabilities), sorted by cell."""
         ids = np.array([self.cell_id(c) for c in self.starts], dtype=np.int64)
-        probs = np.array([self.starts[self.id_to_cell(i)] for i in ids])
+        probs = np.array(list(self.starts.values()))
         return ids, probs, np.cumsum(probs)
 
     @cached_property
@@ -429,7 +432,8 @@ def _episode_draws(grid: GridMap, n_agents: int, horizon: int, rows: int, noise:
                    rng: np.random.Generator, place: bool = True) -> tuple[list[int] | None, np.ndarray]:
     """Draw one episode from rng: the package's one draw layout.
 
-    egt's kernel draws each child's episode here; rollout, step, q_train and
+    egt's _draw_batch draws each child's episode here and hands the draws to
+    its kernel, which draws nothing itself; rollout, step, q_train and
     mc_train draw theirs here for _play. rng draws the start cells of all
     n_agents agents (not when place is False: step's cells are given), then
     a block of uniforms of shape (rows + 2 with noise, horizon, n_agents);

@@ -1,8 +1,8 @@
 """Acceptance gate. One test per shipped criterion; each prints a single
 pass/fail line with the measured numbers before asserting.
 
-The heavyweight entries (4, 6, 9) retrain from scratch on every run; the whole
-module takes a few minutes. Frozen instance and training seeds are recorded
+The heavyweight entries (4, 6, 9) train from scratch on every run, criteria 4
+and 6 on one shared incumbent; the whole module takes a few minutes. Frozen instance and training seeds are recorded
 next to each test.
 """
 import math
@@ -19,8 +19,8 @@ from evopath.egt import (
     EGTParams,
     Policy,
     Trajectory,
+    _invade,
     construct_policy,
-    ess_test,
     fitness,
     success_update_probability,
     train,
@@ -119,13 +119,24 @@ C4_GRID_ARGS = (20, 20, 0.2, None, 4, 134)
 C4_EPISODES = 640_000
 
 
-@pytest.mark.slow
-def test_criterion_4_counter_learner_reaches_goals_near_optimally():
+@pytest.fixture(scope="module")
+def c4_incumbent():
+    """Criterion 4's trained policy, trained once for criteria 4 and 6.
+
+    Returns (grid, world, policy, table, rng, training seconds); rng is the
+    generator training consumed, for criterion 6's invasion step.
+    """
     grid = gen_map(*C4_GRID_ARGS)
     world = WorldConfig(n_agents=1, horizon=default_horizon(20, 20))
+    rng = np.random.default_rng(0)
     t0 = time.perf_counter()
-    policy, _, _ = train(grid, world, EGTParams(episodes=C4_EPISODES), RCFG, np.random.default_rng(0))
-    t_train = time.perf_counter() - t0
+    policy, table, _ = train(grid, world, EGTParams(episodes=C4_EPISODES), RCFG, rng)
+    return grid, world, policy, table, rng, time.perf_counter() - t0
+
+
+@pytest.mark.slow
+def test_criterion_4_counter_learner_reaches_goals_near_optimally(c4_incumbent):
+    grid, world, policy, _, _, t_train = c4_incumbent
 
     rng = np.random.default_rng(1234)
     records = [rollout(grid, world, RCFG, policy, rng) for _ in range(1000)]
@@ -161,19 +172,20 @@ def test_criterion_5_counter_updates_undercut_mc_by_an_order_of_magnitude():
 
 
 @pytest.mark.slow
-def test_criterion_6_trained_policy_resists_invasion():
-    grid = gen_map(*C4_GRID_ARGS)
-    world = WorldConfig(n_agents=1, horizon=default_horizon(20, 20))
-    report = ess_test(
-        grid, world, EGTParams(episodes=C4_EPISODES), RCFG, 0.1, 0.1, np.random.default_rng(0)
-    )
+def test_criterion_6_trained_policy_resists_invasion(c4_incumbent):
+    # ess_test's invasion step on criterion 4's incumbent (seed 0), which is
+    # the policy ess_test would train first
+    grid, world, policy, table, rng, _ = c4_incumbent
+    checks = dict(eval_episodes=200, agreement_threshold=0.95, fitness_tolerance=0.05)
+    report = _invade(grid, world, EGTParams(episodes=C4_EPISODES), policy, table, 0.1, 0.1, rng,
+                     invader=None, **checks)
 
     # self-invasion control: the incumbent invades itself, no extra training
     params20 = EGTParams(episodes=20_000)
-    incumbent, _, _ = train(grid, world, params20, RCFG, np.random.default_rng(5))
-    control = ess_test(
-        grid, world, params20, RCFG, 0.1, 0.0, np.random.default_rng(5), invader=incumbent
-    )
+    rng = np.random.default_rng(5)
+    incumbent, table20, _ = train(grid, world, params20, RCFG, rng)
+    control = _invade(grid, world, params20, incumbent, table20, 0.1, 0.0, rng,
+                      invader=incumbent, **checks)
 
     ok = (
         report.argmax_agreement >= 0.95

@@ -20,7 +20,10 @@ from evopath.egt import (
     greedy_action_map,
     success_update_probability,
     train,
+    _draw_batch,
     _evaluate_fitness,
+    _invade,
+    _run_episodes,
     _train_episodes,
 )
 from evopath.gridworld import (
@@ -517,7 +520,8 @@ def _kernel_vs_reference(grid, world, n_episodes, seed, behavior=None, params=EG
     behavior = behavior or Policy.uniform(grid)
     table = CounterTable(grid)
     stats = TrainingStats()
-    _train_episodes(grid, world, params, table, behavior,
+    _train_episodes(grid, world, params, table, behavior._cdf[None],
+                    np.zeros(n_episodes * world.n_agents, dtype=np.intp),
                     np.random.default_rng(seed).spawn(n_episodes), stats)
     ref_table = CounterTable(grid)
     ref = reference_train(grid, world, params, ref_table, behavior,
@@ -568,6 +572,37 @@ def test_kernel_matches_reference_on_crowded_fuzzed_maps():
         got, ref = _kernel_vs_reference(grid, world, 8, int(rng.integers(1 << 30)), behavior, params)
         assert got == ref, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
         checked += 1
+
+
+def test_kernel_runs_a_policy_stack_as_each_policy_alone():
+    # one call mixing K = 3 policies by a random index per episode plays every
+    # pair as a call with its policy alone on the same draws
+    rng = np.random.default_rng(2025)
+    for noise in (0.0, 0.3, 1.0):
+        checked = 0
+        while checked < 12:
+            w, h = (int(v) for v in rng.integers(3, 9, size=2))
+            try:
+                grid = gen_map(w, h, 0.15, None, int(rng.integers(1, 3)), int(rng.integers(1 << 30)))
+            except GenerationError:
+                continue
+            n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+            world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
+                                action_noise=noise)
+            cdfs = np.stack([Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))._cdf
+                             for _ in range(3)])
+            children = np.random.default_rng(int(rng.integers(1 << 30))).spawn(10)
+            first, draws = _draw_batch(grid, world, children)
+            k = rng.integers(0, 3, size=len(children))
+            mixed = _run_episodes(grid, world, cdfs, np.repeat(k, n_agents), first, draws)
+            for j in range(3):
+                pairs = np.flatnonzero(np.repeat(k == j, n_agents))
+                alone = _run_episodes(grid, world, cdfs[j:j + 1], np.zeros(len(pairs), dtype=np.intp),
+                                      first[pairs], draws[:, :, pairs])
+                for name in ("S", "A", "steps", "arrival", "cells"):
+                    assert np.array_equal(getattr(mixed, name)[pairs], getattr(alone, name)), \
+                        f"{name}, policy {j}, {w}x{h}, {n_agents} agents, noise {noise}"
+            checked += 1
 
 
 def test_evaluate_fitness_matches_reference():
@@ -621,6 +656,15 @@ def test_ess_with_invader_matches_reference():
     assert report.extra_episodes == 100
     assert (report.fitness_before, report.fitness_after) == (fit_before, fit_after)
     assert (report.argmax_agreement, report.states_compared) == (agreement, len(common))
+
+    # the invasion step alone, on the incumbent train() returned and on the
+    # generator it consumed, gives the same report and leaves the table as it was
+    rng = np.random.default_rng(4)
+    policy, table, _ = train(grid, world, params, RewardConfig(), rng)
+    held = table.to_text()
+    assert _invade(grid, world, params, policy, table, 0.5, 0.5, rng, eval_episodes=20,
+                   agreement_threshold=0.95, fitness_tolerance=0.05, invader=invader) == report
+    assert table.to_text() == held
 
 
 def test_ess_without_perturbation_keeps_greedy_map():

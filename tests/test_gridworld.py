@@ -140,6 +140,21 @@ def test_gridmap_rejects_overlap():
         GridMap(2, 2, obstacles=[(0, 0)], goals=[(0, 0)], starts=[(1, 1)])
 
 
+@pytest.mark.parametrize("label, kwargs", [
+    ("obstacle", dict(obstacles=[(0, 1), (3, 0)], goals=[(1, 1)], starts=[(0, 0)])),
+    ("obstacle", dict(obstacles=[(0, -1)], goals=[(1, 1)], starts=[(0, 0)])),
+    ("goal", dict(goals=[(1, 1), (1, 2)], starts=[(0, 0)])),
+    ("goal", dict(goals=[(-1, 0)], starts=[(0, 0)])),
+    ("start", dict(goals=[(1, 1)], starts=[(0, 0), (3, 1)])),
+    ("start", dict(goals=[(1, 1)], starts={(0, 0): 0.5, (0, -3): 0.5})),
+])
+def test_gridmap_rejects_out_of_bounds_cells_by_name(label, kwargs):
+    # a 3 x 2 board: x in 0..2, y in 0..1; the message names the offending cell
+    bad = [c for c in kwargs[label + "s"] if not (0 <= c[0] < 3 and 0 <= c[1] < 2)]
+    with pytest.raises(MapError, match=rf"^{label} cell \({bad[0][0]}, {bad[0][1]}\) is out of bounds$"):
+        GridMap(3, 2, **kwargs)
+
+
 def test_gridmap_rejects_bad_start_weights():
     with pytest.raises(MapError):
         GridMap(2, 2, goals=[(1, 1)], starts={(0, 0): 0.4, (0, 1): 0.4})

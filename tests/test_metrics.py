@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evopath.bench import GenerationError, gen_map
-from evopath.egt import Policy, TrainingStats, Trajectory, _evaluate_fitness, _run_episodes, fitness
+from evopath.egt import (
+    Policy, TrainingStats, Trajectory, _draw_batch, _evaluate_fitness, _run_episodes, fitness,
+)
 from evopath.gridworld import (
     Action, GridMap, RewardConfig, WorldConfig, _play, parse_map, sample_initial, step,
 )
@@ -475,7 +477,8 @@ def test_rollout_reproduces_the_batched_kernel_episode():
             seed = int(rng.integers(1 << 30))
             run, kernel_run = np.random.default_rng(seed), np.random.default_rng(seed)
             rec = rollout(grid, world, RCFG, policy, run)
-            ep = _run_episodes(grid, world, policy, [kernel_run])
+            ep = _run_episodes(grid, world, policy._cdf[None], np.zeros(n_agents, dtype=np.intp),
+                               *_draw_batch(grid, world, [kernel_run]))
             got = [([(grid.cell_id(c), int(a)) for c, a in tau.steps],
                     grid.cell_id(tau.final), tau.reached_goal) for tau in rec.trajectories]
             want = [(list(zip(ep.S[i, :ep.steps[i]].tolist(), ep.A[i, :ep.steps[i]].tolist())),
