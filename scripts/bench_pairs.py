@@ -13,8 +13,10 @@ metric: each side's median and quartiles, how many pairs the after side
 won (by the direction BENCHMARK.json gives, ties counting for neither),
 whether the medians differ by more than the before side's interquartile
 range, and, for end-to-end metrics, whether the after median is worse than
-the before median by more than the benchmark's bound. Runs already under a
-key are kept, and the summary covers all of them.
+the before median by more than the benchmark's bound and whether the before
+side's own interquartile range is wider than that bound, which leaves the
+bound check unresolved. Runs already under a key are kept, and the summary
+covers all of them.
 
 Each run records the checkout's git revision, which reads "unknown" for a
 tree without .git (a `git archive` copy), and src_digest, a digest of the
@@ -103,6 +105,7 @@ def summarize(runs: list[dict], contract: dict) -> dict:
         if bound is not None:
             worse = sign * (bmed - amed)
             row["worse_than_bound"] = worse > bound * abs(bmed)
+            row["before_spread_exceeds_bound"] = b3 - b1 > bound * abs(bmed)
         out[name] = row
     return out
 

@@ -10,6 +10,9 @@ covers:
 - train (policy text, table text, TrainingStats counts) and ess_test
   reports for N in {1, 3, 10}, noise in {0, 0.1, 0.25}, both behavior
   modes, ESS with and without an invader;
+- both again on parents seeded by a list, by 2^63 - 25, by a spawned child,
+  and on MT19937 and SFC64, each with the parent's next spawned uniform
+  after the call;
 - rollout records (trajectories, returns, min distances) for N in
   {1, 2, 5, 10}, noise in {0, 0.3}, uniform and Dirichlet policies;
 - step outcomes on crowded boards with random frozen flags, noise in
@@ -152,6 +155,38 @@ def make_rng(seed: int, bit_generator: str) -> np.random.Generator:
     if not bit_generator:
         return np.random.default_rng(seed)
     return np.random.Generator(getattr(np.random, bit_generator)(seed))
+
+
+def fingerprint_parents(rewards: RewardConfig) -> None:
+    """train and ess_test on parents other than default_rng(int), each followed
+    by the first uniform of the parent's next spawned child."""
+    parents = {
+        "[134, 1]": lambda: np.random.default_rng([134, 1]),
+        "2**63-25": lambda: np.random.default_rng(2**63 - 25),
+        "spawned": lambda: np.random.default_rng(7).spawn(2)[1],
+        "MT19937": lambda: make_rng(7, "MT19937"),
+        "SFC64": lambda: make_rng(7, "SFC64"),
+    }
+    grid = gen_map(12, 12, 0.2, None, 3, 103)
+    for n_agents, noise in ((1, 0.0), (3, 0.1)):
+        world = WorldConfig(n_agents=n_agents, horizon=40, action_noise=noise)
+        for name, make in parents.items():
+            # faithful mode runs 1,200 episodes in batches of up to 512
+            for mode, episodes in (("iterative", 300), ("faithful", 1200)):
+                rng = make()
+                params = EGTParams(episodes=episodes, reconstruct_interval=50, behavior_mode=mode)
+                policy, table, stats = train(grid, world, params, rewards, rng)
+                print(
+                    f"train parent={name} N={n_agents} noise={noise} {mode}: "
+                    f"policy {digest(policy.to_text())} table {digest(table.to_text())} "
+                    f"episodes {stats.episodes_run} updates {stats.policy_updates} "
+                    f"reached {stats.goal_reach_count} next {rng.spawn(1)[0].random()!r}"
+                )
+            rng = make()
+            report = ess_test(grid, world, EGTParams(episodes=200, reconstruct_interval=50), rewards,
+                              0.5, 0.5, rng, eval_episodes=20)
+            print(f"ess parent={name} N={n_agents} noise={noise}: {report} "
+                  f"next {rng.spawn(1)[0].random()!r}")
 
 
 def fingerprint_rollouts(rewards: RewardConfig, bit_generator: str = "") -> None:
@@ -345,6 +380,7 @@ def main() -> None:
         fingerprint_rollouts(rewards, bit_generator)
         fingerprint_steps(bit_generator)
     fingerprint_learners(rewards)
+    fingerprint_parents(rewards)
     base = parse_config_text(NOISY_SWEEP)
     data, summary = run_sweep(sweep_from_config(base), base)
     print(f"noisy_sweep data {digest(data)} summary {digest(summary)}")

@@ -432,9 +432,10 @@ def _episode_draws(grid: GridMap, n_agents: int, horizon: int, rows: int, noise:
                    rng: np.random.Generator, place: bool = True) -> tuple[list[int] | None, np.ndarray]:
     """Draw one episode from rng: the package's one draw layout.
 
-    egt's _draw_batch draws each child's episode here and hands the draws to
-    its kernel, which draws nothing itself; rollout, step, q_train and
-    mc_train draw theirs here for _play. rng draws the start cells of all
+    egt's _draw_batch draws each child's episode here, reads the child's
+    acceptance uniforms after it, and hands the draws to its kernel, which
+    draws nothing itself; rollout, step, q_train and mc_train draw theirs
+    here for _play. rng draws the start cells of all
     n_agents agents (not when place is False: step's cells are given), then
     a block of uniforms of shape (rows + 2 with noise, horizon, n_agents);
     [r, t, i] is agent i's row r at tick t. The behaviour's rows come first:

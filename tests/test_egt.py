@@ -20,6 +20,7 @@ from evopath.egt import (
     greedy_action_map,
     success_update_probability,
     train,
+    _children,
     _draw_batch,
     _evaluate_fitness,
     _invade,
@@ -192,6 +193,79 @@ def test_counter_copy_is_independent():
     dup.add((1, 2), UP, 1)
     assert table.get((1, 2), UP) == 5
     assert dup.get((1, 2), UP) == 6
+
+
+# -- child generators ----------------------------------------------------------
+
+
+def _pcg(seed, **kwargs):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, **kwargs)))
+
+
+def _spawned(rng, n):
+    rng.spawn(n)
+    return rng
+
+
+# (parent factory, whether _children seeds it in numpy)
+CHILDREN_PARENTS = {
+    "seed 0": (lambda: np.random.default_rng(0), True),
+    "seed 134": (lambda: np.random.default_rng(134), True),
+    "seed 2^63-25": (lambda: np.random.default_rng(2**63 - 25), True),
+    "list entropy": (lambda: np.random.default_rng([5000149, 1]), True),
+    "10-word entropy": (lambda: np.random.default_rng([0xFFFFFFFF - 3 * k for k in range(10)]),
+                        True),
+    "pool size 8": (lambda: _pcg(134, pool_size=8), True),
+    "after spawns": (lambda: _spawned(np.random.default_rng(134), 7), True),
+    "nested child": (lambda: np.random.default_rng(7).spawn(3)[2].spawn(2)[1], True),
+    "MT19937": (lambda: np.random.Generator(np.random.MT19937(5)), False),
+    "SFC64": (lambda: np.random.Generator(np.random.SFC64(5)), False),
+}
+
+
+@pytest.mark.parametrize("B", [1, 6, 33])
+@pytest.mark.parametrize("parent", list(CHILDREN_PARENTS))
+def test_children_equal_rng_spawn(parent, B):
+    make, banked = CHILDREN_PARENTS[parent]
+    rng, twin = make(), make()
+    lo = rng.bit_generator.seed_seq.n_children_spawned
+    seen = set()
+    for got, want in zip(_children(rng, B), twin.spawn(B), strict=True):
+        assert type(got.bit_generator) is type(want.bit_generator)
+        if banked:
+            assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(100).tolist() == want.random(100).tolist()
+        seen.add(id(got))
+    assert rng.bit_generator.seed_seq.n_children_spawned == lo + B
+    assert rng.spawn(1)[0].random() == twin.spawn(1)[0].random()
+    # the numpy seeding reuses one generator; rng.spawn's children are distinct
+    assert len(seen) == (1 if banked else B)
+
+
+def test_children_at_the_last_one_word_index():
+    rng, twin = _pcg(5, n_children_spawned=2**32 - 3), _pcg(5, n_children_spawned=2**32 - 3)
+    for got, want in zip(_children(rng, 2), twin.spawn(2), strict=True):
+        assert got.bit_generator.state == want.bit_generator.state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
+
+    # an index from 2^32 on takes two spawn-key words and is left to
+    # rng.spawn, stood in for here: numpy 2.4's own spawn, with its 32-bit
+    # spawn count, does not return once it reaches index 2^32 - 1
+    class Parent(np.random.Generator):
+        def spawn(self, n_children):
+            return ["rng.spawn"] * n_children
+
+    parent = Parent(np.random.PCG64(np.random.SeedSequence(5, n_children_spawned=2**32 - 3)))
+    assert list(_children(parent, 6)) == ["rng.spawn"] * 6
+
+
+def test_children_of_a_seedless_parent_raise_as_rng_spawn_does():
+    rng = np.random.Generator(np.random.RandomState(5)._bit_generator)
+    assert rng.bit_generator.seed_seq is None
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        rng.spawn(2)
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        _children(rng, 2)
 
 
 # -- apply_update --------------------------------------------------------------
@@ -522,7 +596,8 @@ def _kernel_vs_reference(grid, world, n_episodes, seed, behavior=None, params=EG
     stats = TrainingStats()
     _train_episodes(grid, world, params, table, behavior._cdf[None],
                     np.zeros(n_episodes * world.n_agents, dtype=np.intp),
-                    np.random.default_rng(seed).spawn(n_episodes), stats)
+                    _draw_batch(grid, world, n_episodes,
+                                _children(np.random.default_rng(seed), n_episodes)), stats)
     ref_table = CounterTable(grid)
     ref = reference_train(grid, world, params, ref_table, behavior,
                           np.random.default_rng(seed).spawn(n_episodes))
@@ -592,7 +667,7 @@ def test_kernel_runs_a_policy_stack_as_each_policy_alone():
             cdfs = np.stack([Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))._cdf
                              for _ in range(3)])
             children = np.random.default_rng(int(rng.integers(1 << 30))).spawn(10)
-            first, draws = _draw_batch(grid, world, children)
+            first, draws, _ = _draw_batch(grid, world, len(children), children)
             k = rng.integers(0, 3, size=len(children))
             mixed = _run_episodes(grid, world, cdfs, np.repeat(k, n_agents), first, draws)
             for j in range(3):

@@ -477,14 +477,17 @@ def test_rollout_reproduces_the_batched_kernel_episode():
             seed = int(rng.integers(1 << 30))
             run, kernel_run = np.random.default_rng(seed), np.random.default_rng(seed)
             rec = rollout(grid, world, RCFG, policy, run)
+            first, draws, accept = _draw_batch(grid, world, 1, [kernel_run])
             ep = _run_episodes(grid, world, policy._cdf[None], np.zeros(n_agents, dtype=np.intp),
-                               *_draw_batch(grid, world, [kernel_run]))
+                               first, draws)
             got = [([(grid.cell_id(c), int(a)) for c, a in tau.steps],
                     grid.cell_id(tau.final), tau.reached_goal) for tau in rec.trajectories]
             want = [(list(zip(ep.S[i, :ep.steps[i]].tolist(), ep.A[i, :ep.steps[i]].tolist())),
                      int(ep.cells[i]), bool(grid._goal_mask[ep.cells[i]])) for i in range(n_agents)]
             assert got == want, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
             assert ep.stretches(grid.width).tolist() == [fitness(t) for t in rec.trajectories]
+            # the kernel's read-ahead acceptance uniforms, then the stream after them
+            assert run.random(n_agents).tolist() == accept[0].tolist()
             assert run.random() == kernel_run.random()
 
             # the kernel's fitness evaluation, recomputed from rollouts on its children
