@@ -20,7 +20,13 @@ covers:
 - both of the above on PCG64-, MT19937- and SFC64-backed generators, each
   with the generator's next uniform after the calls;
 - q_train and mc_train tables (raw values) and stats for N in {1, 3, 5},
-  noise in {0, 0.25}, and for N = 8 at noise 1.0;
+  noise in {0, 0.25}, for N = 8 at noise 1.0, and for 1,100 single-agent
+  episodes, more than one batch of child generators, each on PCG64,
+  MT19937 and SFC64 parents with the parent's next spawned uniform after
+  the call;
+- run_experiment reports for each algorithm, one of them over 600
+  evaluation episodes, on the same three parents, each with the parent's
+  next spawned uniform after the call;
 - the sweep CSVs of configs/agent_sweep.cfg, and of a noisy sweep over all
   four algorithms, with timing=off;
 - the output of the CLI's gen-map, eval, train (snapshot and counts, not
@@ -62,7 +68,8 @@ from evopath import (  # noqa: E402
 )
 from evopath import cli  # noqa: E402
 from evopath.bench import (  # noqa: E402
-    _KNOWN_KEYS, default_horizon, parse_config_text, run_sweep, sweep_from_config,
+    _KNOWN_KEYS, default_horizon, experiment_from_config, parse_config_text, run_experiment,
+    run_sweep, sweep_from_config,
 )
 
 
@@ -222,21 +229,41 @@ def fingerprint_steps(bit_generator: str = "") -> None:
         print(f"step{label} noise={noise}: {digest(''.join(parts))} next {rng.random()!r}")
 
 
-def fingerprint_learners(rewards: RewardConfig) -> None:
-    # 8 agents at noise 1.0 is the densest draw pattern: every turn adds a coin and a pick
-    for n_agents, noises in ((1, (0.0, 0.25)), (3, (0.0, 0.25)), (5, (0.0, 0.25)), (8, (1.0,))):
+def fingerprint_learners(rewards: RewardConfig, bit_generator: str = "") -> None:
+    label = f" {bit_generator}" if bit_generator else ""
+    # 8 agents at noise 1.0 is the densest draw pattern: every turn adds a coin
+    # and a pick; 1,100 episodes seed more than one batch of children
+    for n_agents, noises, episodes in ((1, (0.0, 0.25), 200), (3, (0.0, 0.25), 200),
+                                       (5, (0.0, 0.25), 200), (8, (1.0,), 200), (1, (0.0,), 1100)):
         grid = gen_map(10, 10, 0.2, None, 2, 400 + n_agents)
         for noise in noises:
             world = WorldConfig(n_agents=n_agents, horizon=30, action_noise=noise)
-            params = LearnParams(episodes=200)
+            params = LearnParams(episodes=episodes)
             for name, learner in (("q", q_train), ("mc", mc_train)):
-                table, policy, stats = learner(grid, world, rewards, params, np.random.default_rng(3))
+                rng = make_rng(3, bit_generator)
+                table, policy, stats = learner(grid, world, rewards, params, rng)
                 print(
-                    f"{name}_train N={n_agents} noise={noise}: values "
+                    f"{name}_train{label} N={n_agents} noise={noise} episodes={episodes}: values "
                     f"{hashlib.sha256(table._values.tobytes()).hexdigest()[:16]} "
                     f"policy {digest(policy.to_text())} episodes {stats.episodes_run} "
-                    f"updates {stats.policy_updates} reached {stats.goal_reach_count}"
+                    f"updates {stats.policy_updates} reached {stats.goal_reach_count} "
+                    f"next {rng.spawn(1)[0].random()!r}"
                 )
+
+
+def fingerprint_experiments(bit_generator: str = "") -> None:
+    """run_experiment per algorithm on one generator, then the parent's next spawned uniform."""
+    label = f" {bit_generator}" if bit_generator else ""
+    for algorithm in ("astar", "egt", "mc", "qlearn"):
+        # egt evaluates over 600 episodes: more than one batch of children
+        for name, text in (("egt", CLI_CONFIGS["egt"]), ("qlearn", CLI_CONFIGS["qlearn"])):
+            text = with_key(text, "algorithm", algorithm)
+            if name == "egt" and algorithm == "egt":
+                text = with_key(text, "eval.episodes", "600")
+            rng = make_rng(13, bit_generator)
+            report = run_experiment(experiment_from_config(parse_config_text(text)), rng)
+            print(f"run_experiment{label} {algorithm} on {name} config: {report} "
+                  f"next {rng.spawn(1)[0].random()!r}")
 
 
 def outcome(fn, *args) -> str:
@@ -379,7 +406,9 @@ def main() -> None:
     for bit_generator in ("", "MT19937", "SFC64"):
         fingerprint_rollouts(rewards, bit_generator)
         fingerprint_steps(bit_generator)
-    fingerprint_learners(rewards)
+    for bit_generator in ("", "MT19937", "SFC64"):
+        fingerprint_learners(rewards, bit_generator)
+        fingerprint_experiments(bit_generator)
     fingerprint_parents(rewards)
     base = parse_config_text(NOISY_SWEEP)
     data, summary = run_sweep(sweep_from_config(base), base)

@@ -26,6 +26,7 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
+    _each_child,
     _episode_draws,
     _play,
     action_from_name,
@@ -40,7 +41,9 @@ class LearnParams:
     Exploration decays linearly from explore to explore_end over
     explore_decay_episodes (the full run when left as None, immediate when 0).
     time_budget_s, when set, stops training after the episode during which the
-    wall-clock budget is exceeded.
+    wall-clock budget is exceeded. The run's generator is then left at the
+    end of the batch of children (see `gridworld._each_child`) that held the
+    last episode run, not after that episode's child.
     """
 
     learning_rate: float = 0.5
@@ -399,8 +402,8 @@ def _train_tabular(
 ) -> tuple[QTable, Policy, TrainingStats]:
     """Episode loop shared by q_train and mc_train.
 
-    Each episode spawns one child of rng, which draws the episode by
-    `gridworld._episode_draws` with two behaviour rows, and runs it on
+    Episode e draws from child e of rng, taken from `gridworld._each_child`,
+    by `gridworld._episode_draws` with two behaviour rows, and runs on
     `gridworld._play` with epsilon-greedy behavior on values: an acting
     agent whose first-row uniform is below the episode's epsilon plays
     int(5 * u) for its second-row uniform u, otherwise the first largest
@@ -413,12 +416,13 @@ def _train_tabular(
     stats = TrainingStats()
     goal = grid._goal_list
     row2 = world.horizon * world.n_agents  # start of a block's second row
+    children = _each_child(rng, params.episodes)
     for e in range(params.episodes):
         if params.time_budget_s is not None and time.perf_counter() - t0 > params.time_budget_s:
             break
         eps = params.epsilon_at(e)
         ids, block = _episode_draws(grid, world.n_agents, world.horizon, 2,
-                                    world.action_noise, rng.spawn(1)[0])
+                                    world.action_noise, next(children))
         draws = memoryview(block.reshape(-1))
 
         def choose(_i: int, cur: int, k: int) -> int:

@@ -26,6 +26,7 @@ from .gridworld import (
     GridMap,
     RewardConfig,
     WorldConfig,
+    _each_child,
     _goal_reach,
     action_delta,
     parse_map,
@@ -491,7 +492,13 @@ def _train_learner(
 def run_experiment(
     cfg: ExperimentConfig, rng: np.random.Generator | None = None
 ) -> MetricsReport:
-    """Train (or plan) and evaluate one configured experiment."""
+    """Train (or plan) and evaluate one configured experiment.
+
+    Training consumes rng (default_rng(cfg.seed) when None) first. Then
+    evaluation episode e draws from child e of what is left of rng, taken
+    from `gridworld._each_child`: astar samples its starts from it, a
+    learner's rollout draws its whole episode from it.
+    """
     if cfg.eval_episodes < 1:
         raise ConfigError("eval.episodes must be >= 1")
     if rng is None:
@@ -506,8 +513,7 @@ def run_experiment(
 
     t0 = time.perf_counter()
     records = []
-    for _ in range(cfg.eval_episodes):
-        child = rng.spawn(1)[0]
+    for child in _each_child(rng, cfg.eval_episodes):
         if cfg.algorithm == "astar":
             starts = sample_initial(grid, world.n_agents, child)
             plan = astar_plan(grid, starts, world.horizon)

@@ -38,19 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Grid-world multi-agent path finding workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("gen-map", "generate a random map and write its text form"),
-        ("train", "train the configured learner and write a policy snapshot"),
-        ("eval", "train (or plan) and evaluate; print the metrics report"),
-        ("sweep-grid", "run the grid-size sweep and write data + summary CSVs"),
-        ("sweep-agents", "run the agent-count sweep and write data + summary CSVs"),
-        ("ess-test", "train, run the invasion test, and print the report"),
-    ]
-    for name, help_text in commands:
+    for name, help_text, handler in _COMMANDS:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, help="key=value config file")
         s.add_argument("--seed", type=int, default=None, help="override the master seed")
         s.add_argument("--out", default=None, help="output file path")
+        s.set_defaults(handler=handler)
     return parser
 
 
@@ -145,22 +138,23 @@ def _cmd_ess_test(args) -> int:
     return 0
 
 
+# (name, help, handler) per subcommand
+_COMMANDS = (
+    ("gen-map", "generate a random map and write its text form", _cmd_gen_map),
+    ("train", "train the configured learner and write a policy snapshot", _cmd_train),
+    ("eval", "train (or plan) and evaluate; print the metrics report", _cmd_eval),
+    ("sweep-grid", "run the grid-size sweep and write data + summary CSVs",
+     partial(_cmd_sweep, axis="grid_size")),
+    ("sweep-agents", "run the agent-count sweep and write data + summary CSVs",
+     partial(_cmd_sweep, axis="n_agents")),
+    ("ess-test", "train, run the invasion test, and print the report", _cmd_ess_test),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen-map":
-            return _cmd_gen_map(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sweep-grid":
-            return _cmd_sweep(args, "grid_size")
-        if args.command == "sweep-agents":
-            return _cmd_sweep(args, "n_agents")
-        if args.command == "ess-test":
-            return _cmd_ess_test(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

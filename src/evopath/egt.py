@@ -9,16 +9,14 @@ Training can either keep a uniform random behavior policy throughout
 counters ("iterative" mode, the default).
 
 Training, the invasion test's extra episodes and its fitness evaluation all
-run on one batched kernel, _run_episodes. It draws nothing: _draw_batch draws
-a batch's start cells, uniform block and acceptance uniforms from the
-episodes' generators, and the kernel plays them, advancing every live
-(episode, agent) pair one tick at a time under a stack of fixed behavior
-policies with a policy index per pair. Training and fitness evaluation pass
-one policy; the invasion test passes the invader and the incumbent. Each
-episode's generator is a child of the run's generator, equal to what
-rng.spawn would give; _children seeds a batch of them at once in numpy
-rather than through one SeedSequence per episode. train() documents the
-per-episode draw layout, the tick rule and the submission rule.
+run through _batches. Per batch it seeds the episodes' generators by
+gridworld._children, draws the batch by _draw_batch, and plays it on one
+batched kernel, _run_episodes. The kernel draws nothing: it advances every
+live (episode, agent) pair one tick at a time under a stack of fixed
+behavior policies with a policy index per pair. Training and fitness
+evaluation pass one policy; the invasion test passes the invader and the
+incumbent. train() documents the per-episode draw layout and the
+submission rule.
 """
 from __future__ import annotations
 
@@ -38,6 +36,8 @@ from .gridworld import (
     N_ACTIONS,
     RewardConfig,
     WorldConfig,
+    _BATCH,
+    _children,
     _episode_draws,
     action_from_name,
     action_name,
@@ -342,156 +342,10 @@ def apply_update(
 
 # -- training ----------------------------------------------------------------
 
-_BATCH = 512
 # bound on a batch's draw, trajectory and occupancy buffers
 _BATCH_BYTES = 48_000_000
 # bound on the (trajectories, horizon) temporaries of one _submit slice
 _SUBMIT_CELLS = 1 << 16
-
-
-# SeedSequence's hashing constants and PCG64's multiplier, as numpy seeds them
-# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(x) -> list[int] | None:
-    """x as SeedSequence coerces it: 32-bit words, least significant first.
-
-    x is an int or a (nested) sequence of them; None where x holds a string,
-    which SeedSequence parses and this does not.
-    """
-    if isinstance(x, (int, np.integer)):
-        n = int(x)
-        out = [n & _MASK32]
-        while n := n >> 32:
-            out.append(n & _MASK32)
-        return out
-    if isinstance(x, str):
-        return None
-    out = []
-    for v in x:
-        w = _words(v)
-        if w is None:
-            return None
-        out += w
-    return out
-
-
-def _hashmix(value, h, mult: int = _MULT_A):
-    """SeedSequence's hashmix of 32-bit words: value and h are ints or uint32 arrays.
-
-    Returns the hashed value and the next hash constant.
-    """
-    h2 = h * mult & _MASK32
-    value = (value ^ h) * h2 & _MASK32
-    return value ^ value >> 16, h2
-
-
-def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
-    """h and the n - 1 hash constants after it, as a uint32 column."""
-    out = [h]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _mix(x, y):
-    """SeedSequence's mix of 32-bit words (ints or uint32 arrays)."""
-    r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-    return r ^ r >> 16
-
-
-def _children(rng: np.random.Generator, B: int) -> Iterator[np.random.Generator]:
-    """An iterator over B generators that equal rng.spawn(B)'s children, in order.
-
-    rng advances as rng.spawn(B) advances it, when this is called. On a PCG64
-    parent whose SeedSequence has the layout checked below, the children's
-    entropy pools, generate_state(4, uint64) words and PCG64 (state, inc)
-    pairs are computed over the whole batch in numpy and set, one child at a
-    time, on one reused Generator: each yielded generator is valid only until
-    the next one is yielded, and only its stream equals the child's (its
-    seed_seq does not). Any other parent takes rng.spawn(B), which also
-    raises its TypeError for a parent without a SeedSequence.
-    """
-    ss = rng.bit_generator.seed_seq
-    if type(rng.bit_generator) is not np.random.PCG64 or type(ss) is not np.random.SeedSequence:
-        return iter(rng.spawn(B))
-    lo = ss.n_children_spawned
-    state = ss.__reduce__()[2]
-    run, key = _words(ss.entropy), _words(ss.spawn_key)
-    # __setstate__ below takes (entropy, n_children_spawned, pool, pool_size,
-    # spawn_key); a child index from 2^32 on would take two words
-    if (len(state) != 5 or state[0] is not ss.entropy or state[1] != lo or state[2] is not ss.pool
-            or state[3] != ss.pool_size or state[4] != ss.spawn_key
-            or run is None or key is None or lo + B > 1 << 32):
-        return iter(rng.spawn(B))
-
-    # a child's entropy: the run entropy padded to the pool size, the
-    # parent's spawn key, then the child's index. All but the index is shared
-    # by the batch and mixed on ints; the index mixes into every pool word at
-    # once, as a (pool, batch) array.
-    P = ss.pool_size
-    words = run + [0] * (P - len(run)) + key
-    h = _INIT_A
-    pool = []
-    for w in words[:P]:
-        m, h = _hashmix(w, h)
-        pool.append(m)
-    for s in range(P):
-        for d in range(P):
-            if s != d:
-                m, h = _hashmix(pool[s], h)
-                pool[d] = _mix(pool[d], m)
-    for w in words[P:]:
-        for d in range(P):
-            m, h = _hashmix(w, h)
-            pool[d] = _mix(pool[d], m)
-    index = np.arange(lo, lo + B, dtype=np.int64).astype(np.uint32)
-    m, _ = _hashmix(index, _hash_consts(h, _MULT_A, P))
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], m)
-    # generate_state(4, uint64): 8 words over the cycled pool, paired little-endian
-    seed, _ = _hashmix(pool[np.arange(8) % P], _hash_consts(_INIT_B, _MULT_B, 8), _MULT_B)
-    seed = seed.astype(np.uint64)
-    s_hi, s_lo, i_hi, i_lo = seed[0::2] | seed[1::2] << np.uint64(32)
-
-    ss.__setstate__((state[0], lo + B) + state[2:])
-    if ss.n_children_spawned != lo + B:
-        raise RuntimeError("SeedSequence.__setstate__ did not advance n_children_spawned")
-    # a fixed seed: PCG64() would read OS entropy
-    bit_gen = np.random.PCG64(0)
-    child = np.random.Generator(bit_gen)
-
-    def seeded(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> np.random.Generator:
-        # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                         "state": {"state": ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128,
-                                   "inc": inc}}
-        return child
-
-    return map(seeded, s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist())
-
-
-def _spawn_batches(
-    rng: np.random.Generator, n_episodes: int, world: WorldConfig, grid: GridMap
-) -> Iterator[tuple[int, Iterator[np.random.Generator]]]:
-    """Yield (B, children) per batch: rng.spawn(B)'s children, by _children, in episode order."""
-    # per agent-tick: an 8-byte action uniform, a 4-byte cell and a 1-byte
-    # action, plus two 8-byte noise draws; per episode a 4-byte owner grid
-    per_episode = world.n_agents * world.horizon * 13 + 4 * grid.n_cells
-    if world.action_noise > 0.0:
-        per_episode += world.n_agents * world.horizon * 16
-    size = max(8, min(_BATCH, _BATCH_BYTES // per_episode))
-    done = 0
-    while done < n_episodes:
-        B = min(size, n_episodes - done)
-        yield B, _children(rng, B)
-        done += B
 
 
 @dataclass
@@ -517,27 +371,32 @@ class _Episodes:
         return _stretches(self.steps, np.abs(f % width - c % width) + np.abs(f // width - c // width))
 
 
-def _draw_batch(
-    grid: GridMap, world: WorldConfig, B: int, children: Iterable[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_batch(grid: GridMap, world: WorldConfig, B: int, children: Iterable[np.random.Generator],
+                p_new: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw B episodes, one per child generator, by gridworld._episode_draws.
 
-    In child order, each child draws its start cells and its uniform block,
-    with one behaviour row, then reads ahead its n_agents acceptance
-    uniforms: the most its episode can submit. No child draws again, so the
-    uniforms its episode leaves unused are discarded. Returns the start
-    cells, shape (pairs,), the block, shape (rows, T, pairs), and the
-    acceptance uniforms, shape (B, n_agents); pair p = b * n_agents + i is
-    agent i of child b's episode.
+    In child order, each child first draws its invader coin when p_new is
+    given, then its start cells and its uniform block, with one behaviour
+    row, then reads ahead its n_agents acceptance uniforms: the most its
+    episode can submit. No child draws again, so the uniforms its episode
+    leaves unused are discarded. Returns the start cells, shape (pairs,),
+    the block, shape (rows, T, pairs), the acceptance uniforms, shape
+    (B, n_agents), and the policy index per pair: 0 without p_new, else 0
+    (the invader) where the episode's coin fell below p_new and 1 (the
+    incumbent) elsewhere. Pair p = b * n_agents + i is agent i of child b's
+    episode.
     """
     T, N, noise = world.horizon, world.n_agents, world.action_noise
     first = np.empty(B * N, dtype=np.int64)
     draws = np.empty((3 if noise > 0.0 else 1, T, B, N))
     accept = np.empty((B, N))
+    index = np.zeros((B, N), dtype=np.intp)
     for j, r in enumerate(children):
+        if p_new is not None:
+            index[j] = r.random() >= p_new
         first[j * N:(j + 1) * N], draws[:, :, j] = _episode_draws(grid, N, T, 1, noise, r)
         r.random(out=accept[j])
-    return first, draws.reshape(len(draws), T, B * N), accept
+    return first, draws.reshape(len(draws), T, B * N), accept, index.reshape(-1)
 
 
 def _run_episodes(
@@ -554,8 +413,8 @@ def _run_episodes(
     first and draws are the start cells and the (rows, T, pairs) uniform
     block that _draw_batch returns. cdfs stacks the CDF rows of K behavior
     policies, shape (K, n_cells, 5), and pair p acts by policy index[p].
-    Every live (episode, agent) pair advances one tick at a time under the
-    tick rule documented in train().
+    Every live (episode, agent) pair advances one tick at a time under
+    gridworld._play's tick rule, restated over arrays.
     """
     T = world.horizon
     N = world.n_agents
@@ -576,7 +435,6 @@ def _run_episodes(
     cells = first.copy()
     S = np.zeros((P, T), dtype=np.int32)
     A = np.zeros((P, T), dtype=np.int8)
-    steps = np.zeros(P, dtype=np.int64)
     arrival = np.full(P, T, dtype=np.int64)
     live = np.flatnonzero(~goal[cells])
     if N > 1:
@@ -599,7 +457,6 @@ def _run_episodes(
                 a[fire] = padded[cf, k]
         S[live, t] = c
         A[live, t] = a
-        steps[live] = t + 1
         tgt = target[c, a]
         if N > 1:
             i = agent[live]
@@ -638,7 +495,36 @@ def _run_episodes(
         if arrived.any():
             arrival[live[arrived]] = t
             live = live[~arrived]
+    # a pair records every tick until it arrives; one that starts on a goal records none
+    steps = np.where(goal[first], 0, np.minimum(arrival + 1, T))
     return _Episodes(first, cells, steps, arrival, S, A)
+
+
+def _batches(grid: GridMap, world: WorldConfig, rng: np.random.Generator, n_episodes: int,
+             cdfs: np.ndarray, p_new: float | None = None) -> Iterator[tuple[_Episodes, np.ndarray]]:
+    """Play n_episodes episodes on children of rng, a batch at a time.
+
+    Per batch, _children seeds the batch's children, _draw_batch draws
+    their episodes (with p_new, each child's invader coin first) and
+    _run_episodes plays them under the policy stack cdfs. Yields each
+    batch's episodes and acceptance uniforms.
+    """
+    # per agent-tick: an 8-byte action uniform, a 4-byte cell and a 1-byte
+    # action, plus two 8-byte noise draws; per episode a 4-byte owner grid
+    per_episode = world.n_agents * world.horizon * 13 + 4 * grid.n_cells
+    if world.action_noise > 0.0:
+        per_episode += world.n_agents * world.horizon * 16
+    size = max(8, min(_BATCH, _BATCH_BYTES // per_episode))
+    for lo in range(0, n_episodes, size):
+        B = min(size, n_episodes - lo)
+        first, block, accept, index = _draw_batch(grid, world, B, _children(rng, B), p_new)
+        episodes = _run_episodes(grid, world, cdfs, index, first, block)
+        # a suspended generator keeps its locals alive: free the block, the
+        # batch's largest array, while the caller submits, and the episodes
+        # while the next batch is drawn and run
+        del block
+        yield episodes, accept
+        del episodes
 
 
 def _submit(
@@ -686,33 +572,21 @@ def _submit(
     return touched
 
 
-def _train_episodes(
-    grid: GridMap,
-    world: WorldConfig,
-    params: EGTParams,
-    table: CounterTable,
-    cdfs: np.ndarray,
-    index: np.ndarray,
-    drawn: tuple[np.ndarray, np.ndarray, np.ndarray],
-    stats: TrainingStats,
-) -> None:
-    """Run a batch of training episodes and submit every trajectory.
+def _learn(table: CounterTable, params: EGTParams,
+           batches: Iterable[tuple[_Episodes, np.ndarray]], stats: TrainingStats) -> None:
+    """Submit each batch of _batches to table and count it in stats.
 
-    drawn is what _draw_batch returned for the batch, passed on by the
-    caller without keeping it, so its block is freed once the kernel has
-    run; pair p acts by policy index[p] of the stack cdfs (see
-    _run_episodes). Pairs that start on a goal have no steps and take no
-    acceptance uniform: they submit as failed, which moves nothing.
+    Pairs that start on a goal have no steps and take no acceptance uniform:
+    they submit as failed, which moves nothing.
     """
-    ep = _run_episodes(grid, world, cdfs, index, *drawn[:2])
-    accept = drawn[2]
-    # the block is the batch's largest array: free it before _submit's temporaries
-    del drawn
-    reached = grid._goal_mask[ep.cells]
-    touched = _submit(table, params, ep, reached & (ep.steps > 0), accept)
-    stats.policy_updates += int(np.count_nonzero(touched))
-    stats.episodes_run += len(accept)
-    stats.goal_reach_count += int(reached.sum())
+    for ep, accept in batches:
+        reached = table.grid._goal_mask[ep.cells]
+        touched = _submit(table, params, ep, reached & (ep.steps > 0), accept)
+        stats.policy_updates += int(np.count_nonzero(touched))
+        stats.episodes_run += len(accept)
+        stats.goal_reach_count += int(reached.sum())
+        # free the batch's trajectories before the next batch is drawn and run
+        del ep
 
 
 def train(
@@ -727,24 +601,17 @@ def train(
     The learner is reward-free; reward_cfg is accepted for interface parity
     with the tabular learners and is not consulted.
 
-    Draw layout. Each episode owns a child generator spawned from rng in
-    episode order, so a fixed seed reproduces the run exactly; the children
-    equal rng.spawn's (see _children). A child first draws the episode's
-    start cells and uniform block as gridworld._episode_draws lays them out,
-    with one behaviour row; then n_agents acceptance uniforms, read ahead
-    before the kernel runs (_draw_batch draws a batch's children in order).
-    The episode's submitted goal-reaching trajectories take them in
-    submission order: by arrival tick, ties by agent index. The uniforms
-    left unused are discarded with the child, so a child's stream is the
-    same as if it drew one uniform per submission. In ess_test's extra
-    episodes every child draws its invader coin before anything else.
-
-    Tick rule. Agent i samples its action from the behavior row of its cell
-    at the start of the tick (noise coin below action_noise: a uniform pick
-    among the cell's permissible actions instead). Agents then move in
-    ascending index order: a move into a cell that is occupied at the
-    agent's turn is blocked, which also blocks both ends of a swap. An agent
-    that reaches a goal freezes there and keeps blocking its cell.
+    Draw layout. Episode e draws from child e of rng, as every driver's
+    episodes do (see gridworld._episode_draws), so a fixed seed reproduces
+    the run exactly. A child first draws the episode's start cells and
+    uniform block as gridworld._episode_draws lays them out, with one
+    behaviour row; then n_agents acceptance uniforms, read ahead before the
+    kernel runs. The episode's submitted goal-reaching trajectories take
+    them in submission order: by arrival tick, ties by agent index. The
+    uniforms left unused are discarded with the child, so a child's stream
+    is the same as if it drew one uniform per submission. In ess_test's
+    extra episodes every child draws its invader coin before anything else.
+    The tick rule is gridworld._play's.
 
     Submission rule. A goal-reaching trajectory of stretch u (fitness) is
     accepted when its draw is below success_update_probability(u) and then
@@ -768,10 +635,7 @@ def train(
         else:
             behavior = uniform
             chunk = params.episodes - e
-        for B, children in _spawn_batches(rng, chunk, world, grid):
-            index = np.zeros(B * world.n_agents, dtype=np.intp)
-            _train_episodes(grid, world, params, table, behavior._cdf[None], index,
-                            _draw_batch(grid, world, B, children), stats)
+        _learn(table, params, _batches(grid, world, rng, chunk, behavior._cdf[None]), stats)
         e += chunk
     policy = construct_policy(table, params.epsilon, grid)
     stats.wall_time = time.perf_counter() - t0
@@ -794,13 +658,8 @@ def _evaluate_fitness(
     any trajectory can attain, so degenerate loops cannot drag the mean to
     -inf.
     """
-    stretches = []
-    for B, children in _spawn_batches(rng, episodes, world, grid):
-        index = np.zeros(B * world.n_agents, dtype=np.intp)
-        ep = _run_episodes(grid, world, policy._cdf[None], index,
-                           *_draw_batch(grid, world, B, children)[:2])
-        stretches.append(ep.stretches(grid.width))
-    u = np.concatenate(stretches)
+    u = np.concatenate([ep.stretches(grid.width)
+                        for ep, _ in _batches(grid, world, rng, episodes, policy._cdf[None])])
     # cumsum adds in (episode, agent) order, as a running total would
     return float(np.cumsum(-np.minimum(u, float(world.horizon)))[-1]) / (episodes * world.n_agents)
 
@@ -868,19 +727,6 @@ def _check_invasion(p_new: float, extra_episode_fraction: float, eval_episodes: 
         raise ValueError("eval_episodes must be >= 1")
 
 
-def _invader_coins(
-    children: Iterable[np.random.Generator], p_new: float, index: np.ndarray
-) -> Iterator[np.random.Generator]:
-    """Pass on each child once it has drawn its invader coin.
-
-    The coin sets row j of index, child j's episode: 0, the invader, when it
-    falls below p_new, else 1, the incumbent.
-    """
-    for j, r in enumerate(children):
-        index[j] = r.random() >= p_new
-        yield r
-
-
 def _invade(
     grid: GridMap,
     world: WorldConfig,
@@ -914,12 +760,7 @@ def _invade(
     stats = TrainingStats()
     inv = invader if invader is not None else Policy.uniform(grid)
     cdfs = np.stack([inv._cdf, policy._cdf])
-    for B, children in _spawn_batches(rng, extra, world, grid):
-        # filled as the children draw, before _train_episodes reads it
-        index = np.empty(B * world.n_agents, dtype=np.intp)
-        coined = _invader_coins(children, p_new, index.reshape(B, world.n_agents))
-        _train_episodes(grid, world, params, table, cdfs, index,
-                        _draw_batch(grid, world, B, coined), stats)
+    _learn(table, params, _batches(grid, world, rng, extra, cdfs, p_new), stats)
 
     final_policy = construct_policy(table, params.epsilon, grid)
     after = greedy_action_map(table)

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -425,30 +425,179 @@ def permissible_actions(grid: GridMap, cell: Cell) -> set[Action]:
     return {Action(a) for a in np.flatnonzero(perm[grid._free_id(cell)])}
 
 
-# -- stepping ---------------------------------------------------------------
+# -- episode generators and draws ---------------------------------------------
+
+
+# SeedSequence's hashing constants and PCG64's multiplier, as numpy seeds them
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(x) -> list[int] | None:
+    """x as SeedSequence coerces it: 32-bit words, least significant first.
+
+    x is an int or a (nested) sequence of them; None where x holds a string,
+    which SeedSequence parses and this does not.
+    """
+    if isinstance(x, (int, np.integer)):
+        n = int(x)
+        out = [n & _MASK32]
+        while n := n >> 32:
+            out.append(n & _MASK32)
+        return out
+    if isinstance(x, str):
+        return None
+    out = []
+    for v in x:
+        w = _words(v)
+        if w is None:
+            return None
+        out += w
+    return out
+
+
+def _hashmix(value, h, mult: int = _MULT_A):
+    """SeedSequence's hashmix of 32-bit words: value and h are ints or uint32 arrays.
+
+    Returns the hashed value and the next hash constant.
+    """
+    h2 = h * mult & _MASK32
+    value = (value ^ h) * h2 & _MASK32
+    return value ^ value >> 16, h2
+
+
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """h and the n - 1 hash constants after it, as a uint32 column."""
+    out = [h]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _mix(x, y):
+    """SeedSequence's mix of 32-bit words (ints or uint32 arrays)."""
+    r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return r ^ r >> 16
+
+
+def _children(rng: np.random.Generator, B: int) -> Iterator[np.random.Generator]:
+    """An iterator over B generators that equal rng.spawn(B)'s children, in order.
+
+    rng advances as rng.spawn(B) advances it, when this is called. On a PCG64
+    parent whose SeedSequence has the layout checked below, the children's
+    entropy pools, generate_state(4, uint64) words and PCG64 (state, inc)
+    pairs are computed over the whole batch in numpy and set, one child at a
+    time, on one reused Generator: each yielded generator is valid only until
+    the next one is yielded, and only its stream equals the child's (its
+    seed_seq does not). Any other parent takes rng.spawn(B), which also
+    raises its TypeError for a parent without a SeedSequence.
+    """
+    ss = rng.bit_generator.seed_seq
+    if type(rng.bit_generator) is not np.random.PCG64 or type(ss) is not np.random.SeedSequence:
+        return iter(rng.spawn(B))
+    lo = ss.n_children_spawned
+    state = ss.__reduce__()[2]
+    run, key = _words(ss.entropy), _words(ss.spawn_key)
+    # __setstate__ below takes (entropy, n_children_spawned, pool, pool_size,
+    # spawn_key); a child index from 2^32 on would take two words
+    if (len(state) != 5 or state[0] is not ss.entropy or state[1] != lo or state[2] is not ss.pool
+            or state[3] != ss.pool_size or state[4] != ss.spawn_key
+            or run is None or key is None or lo + B > 1 << 32):
+        return iter(rng.spawn(B))
+
+    # a child's entropy: the run entropy padded to the pool size, the
+    # parent's spawn key, then the child's index. All but the index is shared
+    # by the batch and mixed on ints; the index mixes into every pool word at
+    # once, as a (pool, batch) array.
+    P = ss.pool_size
+    words = run + [0] * (P - len(run)) + key
+    h = _INIT_A
+    pool = []
+    for w in words[:P]:
+        m, h = _hashmix(w, h)
+        pool.append(m)
+    for s in range(P):
+        for d in range(P):
+            if s != d:
+                m, h = _hashmix(pool[s], h)
+                pool[d] = _mix(pool[d], m)
+    for w in words[P:]:
+        for d in range(P):
+            m, h = _hashmix(w, h)
+            pool[d] = _mix(pool[d], m)
+    index = np.arange(lo, lo + B, dtype=np.int64).astype(np.uint32)
+    m, _ = _hashmix(index, _hash_consts(h, _MULT_A, P))
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], m)
+    # generate_state(4, uint64): 8 words over the cycled pool, paired little-endian
+    seed, _ = _hashmix(pool[np.arange(8) % P], _hash_consts(_INIT_B, _MULT_B, 8), _MULT_B)
+    seed = seed.astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = seed[0::2] | seed[1::2] << np.uint64(32)
+
+    ss.__setstate__((state[0], lo + B) + state[2:])
+    if ss.n_children_spawned != lo + B:
+        raise RuntimeError("SeedSequence.__setstate__ did not advance n_children_spawned")
+    # a fixed seed: PCG64() would read OS entropy
+    bit_gen = np.random.PCG64(0)
+    child = np.random.Generator(bit_gen)
+
+    def seeded(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> np.random.Generator:
+        # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                         "state": {"state": ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128,
+                                   "inc": inc}}
+        return child
+
+    return map(seeded, s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist())
+
+
+# the most children one _children call seeds
+_BATCH = 512
+
+
+def _each_child(rng: np.random.Generator, n: int) -> Iterator[np.random.Generator]:
+    """rng.spawn(n)'s children in order, seeded by _children at most _BATCH at a time.
+
+    Lazy: rng advances by a whole batch when the batch's first child is
+    taken, so a caller that stops early leaves rng at the end of that batch.
+    As with _children, each generator is valid only until the next.
+    """
+    for lo in range(0, n, _BATCH):
+        yield from _children(rng, min(_BATCH, n - lo))
 
 
 def _episode_draws(grid: GridMap, n_agents: int, horizon: int, rows: int, noise: float,
                    rng: np.random.Generator, place: bool = True) -> tuple[list[int] | None, np.ndarray]:
     """Draw one episode from rng: the package's one draw layout.
 
-    egt's _draw_batch draws each child's episode here, reads the child's
-    acceptance uniforms after it, and hands the draws to its kernel, which
-    draws nothing itself; rollout, step, q_train and mc_train draw theirs
-    here for _play. rng draws the start cells of all
-    n_agents agents (not when place is False: step's cells are given), then
-    a block of uniforms of shape (rows + 2 with noise, horizon, n_agents);
-    [r, t, i] is agent i's row r at tick t. The behaviour's rows come first:
-    1 for a policy (the action uniform), 2 for epsilon-greedy (the
-    exploration coin, then the random action), 0 for given actions. With
-    noise, a coin row and a pick row follow: a coin below noise plays the
-    int(pick * k)-th of the cell's k permissible actions, ascending. The
-    whole block, rows x horizon x n_agents floats as in one kernel episode,
-    is drawn whether or not an agent acts, so no agent's draws depend on
-    which others act.
+    A run draws its episode e from child e of the run's generator, equal to
+    rng.spawn's, which _children seeds (egt's batches) or _each_child
+    (q_train, mc_train and run_experiment's evaluation). egt's _draw_batch
+    draws each child's episode here, reads the child's acceptance uniforms
+    after it, and hands the draws to its kernel, which draws nothing itself;
+    rollout, step, q_train and mc_train draw theirs here for _play.
+
+    rng draws the start cells of all n_agents agents (not when place is
+    False: step's cells are given), then a block of uniforms of shape
+    (rows + 2 with noise, horizon, n_agents); [r, t, i] is agent i's row r
+    at tick t. The behaviour's rows come first: 1 for a policy (the action
+    uniform), 2 for epsilon-greedy (the exploration coin, then the random
+    action), 0 for given actions. With noise, a coin row and a pick row
+    follow: a coin below noise plays the int(pick * k)-th of the cell's k
+    permissible actions, ascending. The whole block, rows x horizon x
+    n_agents floats as in one kernel episode, is drawn whether or not an
+    agent acts, so no agent's draws depend on which others act.
     """
     ids = _sample_initial_ids(grid, n_agents, rng) if place else None
     return ids, rng.random((rows + 2 * (noise > 0.0), horizon, n_agents))
+
+
+# -- stepping ---------------------------------------------------------------
 
 
 def _play(

@@ -99,8 +99,10 @@ def rollout(
 
     rng draws the episode by `gridworld._episode_draws` with one behaviour
     row, as an episode of egt's batched kernel does, so on the same
-    generator the two play the same episode; the tick rule is
-    `gridworld._play`'s. Agents that start on a goal never act.
+    generator the two play the same episode; run_experiment passes its
+    evaluation episode e child e of its generator, from
+    `gridworld._each_child`. rng is not kept after the call. The tick rule
+    is `gridworld._play`'s. Agents that start on a goal never act.
     Trajectories record the action actually executed (after any action
     noise).
     """

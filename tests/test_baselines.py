@@ -535,14 +535,15 @@ def test_tabular_learners_match_the_scalar_reference(method, trainer):
             explore_end = 1.0 if checked % 2 else 0.05
             params = LearnParams(explore_end=explore_end, episodes=int(rng.integers(1, 25)))
             seed = int(rng.integers(1 << 30))
-            table, _policy, _stats = trainer(grid, world, RewardConfig(), params,
-                                             np.random.default_rng(seed))
-            ref = reference_tabular(grid, world, RewardConfig(), params,
-                                    np.random.default_rng(seed), method)
+            run, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            table, _policy, _stats = trainer(grid, world, RewardConfig(), params, run)
+            ref = reference_tabular(grid, world, RewardConfig(), params, twin, method)
             assert table._values.tolist() == ref.tolist(), (
                 f"{w}x{h}, {n_agents} agents, noise {noise}, explore_end {explore_end}:\n"
                 f"{grid.to_text()}"
             )
+            # the reference spawned params.episodes children, one per episode
+            assert run.spawn(1)[0].random() == twin.spawn(1)[0].random()
             checked += 1
 
 

@@ -396,9 +396,16 @@ def test_run_experiment_is_deterministic_with_timing_off():
         "algorithm=egt\nmap.width=5\nmap.height=5\nmap.density=0.1\nseed=4\n"
         "egt.episodes=50\neval.episodes=5\ntiming=off\n"
     )
-    a = run_experiment(experiment_from_config(kv(text)))
+    cfg = experiment_from_config(kv(text))
+    rng = np.random.default_rng(4)
+    a = run_experiment(cfg, rng)
     b = run_experiment(experiment_from_config(kv(text)))
     assert a == b
+    # training consumes the generator, then evaluation spawns one child per episode
+    twin = np.random.default_rng(4)
+    egt.train(cfg.grid, cfg.world, cfg.params, cfg.rewards, twin)
+    twin.spawn(cfg.eval_episodes)
+    assert rng.spawn(1)[0].random() == twin.spawn(1)[0].random()
 
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evopath import egt
 from evopath.egt import (
     CounterTable,
     EGTParams,
@@ -20,24 +21,27 @@ from evopath.egt import (
     greedy_action_map,
     success_update_probability,
     train,
-    _children,
+    _batches,
     _draw_batch,
     _evaluate_fitness,
     _invade,
+    _learn,
     _run_episodes,
-    _train_episodes,
 )
 from evopath.gridworld import (
     Action,
+    GridMap,
     InvalidStateError,
     RewardConfig,
     WorldConfig,
+    _children,
     parse_map,
 )
 from evopath.bench import GenerationError, gen_map
 from oracles import (
     bfs_distance,
     greedy_path_length,
+    reference_episode,
     reference_fitness,
     reference_train,
 )
@@ -594,10 +598,8 @@ def _kernel_vs_reference(grid, world, n_episodes, seed, behavior=None, params=EG
     behavior = behavior or Policy.uniform(grid)
     table = CounterTable(grid)
     stats = TrainingStats()
-    _train_episodes(grid, world, params, table, behavior._cdf[None],
-                    np.zeros(n_episodes * world.n_agents, dtype=np.intp),
-                    _draw_batch(grid, world, n_episodes,
-                                _children(np.random.default_rng(seed), n_episodes)), stats)
+    _learn(table, params, _batches(grid, world, np.random.default_rng(seed), n_episodes,
+                                   behavior._cdf[None]), stats)
     ref_table = CounterTable(grid)
     ref = reference_train(grid, world, params, ref_table, behavior,
                           np.random.default_rng(seed).spawn(n_episodes))
@@ -649,6 +651,33 @@ def test_kernel_matches_reference_on_crowded_fuzzed_maps():
         checked += 1
 
 
+def test_kernel_matches_reference_when_agents_start_on_goals():
+    # goals are starts too, so some agents start parked: they record no
+    # step, submit nothing and score a stretch of 1
+    rng = np.random.default_rng(2026)
+    parked = checked = 0
+    while checked < 20:
+        w, h = (int(v) for v in rng.integers(3, 8, size=2))
+        try:
+            base = gen_map(w, h, 0.15, None, int(rng.integers(1, 4)), int(rng.integers(1 << 30)))
+        except GenerationError:
+            continue
+        grid = GridMap(w, h, base.obstacles, base.goals, [*base.starts, *sorted(base.goals)])
+        n_agents = int(rng.integers(1, min(8, len(grid.starts)) + 1))
+        world = WorldConfig(n_agents=n_agents, horizon=int(rng.integers(1, 3 * (w + h))),
+                            action_noise=float(rng.choice([0.0, 0.3])))
+        behavior = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
+        seed = int(rng.integers(1 << 30))
+        got, ref = _kernel_vs_reference(grid, world, 8, seed, behavior)
+        assert got == ref, f"{w}x{h}, {n_agents} agents:\n{grid.to_text()}"
+        assert _evaluate_fitness(grid, world, behavior, np.random.default_rng(seed), 8) \
+            == reference_fitness(grid, world, behavior, np.random.default_rng(seed), 8)
+        parked += sum(reference_episode(grid, world, behavior, r)[0][i][0] == []
+                      for r in np.random.default_rng(seed).spawn(8) for i in range(n_agents))
+        checked += 1
+    assert parked > 0
+
+
 def test_kernel_runs_a_policy_stack_as_each_policy_alone():
     # one call mixing K = 3 policies by a random index per episode plays every
     # pair as a call with its policy alone on the same draws
@@ -667,7 +696,7 @@ def test_kernel_runs_a_policy_stack_as_each_policy_alone():
             cdfs = np.stack([Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))._cdf
                              for _ in range(3)])
             children = np.random.default_rng(int(rng.integers(1 << 30))).spawn(10)
-            first, draws, _ = _draw_batch(grid, world, len(children), children)
+            first, draws, _, _ = _draw_batch(grid, world, len(children), children)
             k = rng.integers(0, 3, size=len(children))
             mixed = _run_episodes(grid, world, cdfs, np.repeat(k, n_agents), first, draws)
             for j in range(3):
@@ -740,6 +769,50 @@ def test_ess_with_invader_matches_reference():
     assert _invade(grid, world, params, policy, table, 0.5, 0.5, rng, eval_episodes=20,
                    agreement_threshold=0.95, fitness_tolerance=0.05, invader=invader) == report
     assert table.to_text() == held
+
+
+# starts ringed by goals: episodes end within a few ticks, so a long horizon
+# costs little, while its size drives _batches to its floor of 8 episodes
+RINGED = "GGGGG\nGSSSG\nGSSSG\nGSSSG\nGGGGG\n"
+
+
+def test_training_and_invasion_across_batches_match_reference(monkeypatch):
+    grid = parse_map(RINGED)
+    world = WorldConfig(n_agents=4, horizon=46_100, action_noise=0.1)
+    params = EGTParams(episodes=17, behavior_mode="faithful")
+    seeded = []
+    children = egt._children
+    monkeypatch.setattr(egt, "_children", lambda rng, B: seeded.append(B) or children(rng, B))
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+
+    policy, table, stats = train(grid, world, params, RewardConfig(), rng)
+    assert seeded == [8, 8, 1]
+    ref_table = CounterTable(grid)
+    ref = reference_train(grid, world, params, ref_table, Policy.uniform(grid), twin.spawn(17))
+    assert table.to_text() == ref_table.to_text()
+    assert (stats.episodes_run, stats.policy_updates, stats.goal_reach_count) == ref
+
+    # the invasion step: fitness, the extra episodes with each child's
+    # invader coin first, then fitness again, each over three batches
+    invader = Policy(grid, np.random.default_rng(8).dirichlet(np.ones(5), grid.n_cells))
+    seeded.clear()
+    report = _invade(grid, world, params, policy, table, 0.5, 1.0, rng, eval_episodes=17,
+                     agreement_threshold=0.95, fitness_tolerance=0.05, invader=invader)
+    assert seeded == [8, 8, 1] * 3
+    before = greedy_action_map(ref_table)
+    fit_before = reference_fitness(grid, world, policy, twin, 17)
+    for r in twin.spawn(17):
+        behavior = invader if r.random() < 0.5 else policy
+        reference_train(grid, world, params, ref_table, behavior, [r])
+    after = greedy_action_map(ref_table)
+    fit_after = reference_fitness(grid, world, construct_policy(ref_table, params.epsilon, grid),
+                                  twin, 17)
+    common = sorted(set(before) & set(after))
+    assert report.extra_episodes == 17
+    assert (report.fitness_before, report.fitness_after) == (fit_before, fit_after)
+    assert report.argmax_agreement == sum(before[c] == after[c] for c in common) / len(common)
+    assert report.states_compared == len(common)
+    assert rng.spawn(1)[0].random() == twin.spawn(1)[0].random()
 
 
 def test_ess_without_perturbation_keeps_greedy_map():

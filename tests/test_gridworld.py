@@ -30,7 +30,7 @@ from evopath import (
 )
 
 from evopath.bench import GenerationError, gen_map
-from evopath.gridworld import _goal_reach
+from evopath.gridworld import _BATCH, _each_child, _goal_reach
 
 import oracles
 
@@ -484,6 +484,25 @@ def test_sample_initial_respects_weights():
     hits = sum(sample_initial(g, 1, rng)[0] == (0, 0) for _ in range(2000))
     # binomial(2000, 0.9): 4 sigma is about 54
     assert abs(hits - 1800) < 54
+
+
+# -- episode generators ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng,
+                                  lambda seed: np.random.Generator(np.random.MT19937(seed))])
+def test_each_child_equals_rng_spawn_a_batch_at_a_time(make):
+    n = 2 * _BATCH + 3
+    rng, twin = make(3), make(3)
+    children = _each_child(rng, n)
+    # lazy: nothing is seeded before the first child is taken
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    for e, want in enumerate(twin.spawn(n)):
+        assert next(children).random(3).tolist() == want.random(3).tolist()
+        # the parent advances by the whole batch when its first child is taken
+        assert rng.bit_generator.seed_seq.n_children_spawned == min(n, (e // _BATCH + 1) * _BATCH)
+    assert next(children, None) is None
+    assert rng.spawn(1)[0].random() == twin.spawn(1)[0].random()
 
 
 # -- step stays on free cells (fuzz) ---------------------------------------------

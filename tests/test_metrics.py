@@ -477,7 +477,7 @@ def test_rollout_reproduces_the_batched_kernel_episode():
             seed = int(rng.integers(1 << 30))
             run, kernel_run = np.random.default_rng(seed), np.random.default_rng(seed)
             rec = rollout(grid, world, RCFG, policy, run)
-            first, draws, accept = _draw_batch(grid, world, 1, [kernel_run])
+            first, draws, accept, _ = _draw_batch(grid, world, 1, [kernel_run])
             ep = _run_episodes(grid, world, policy._cdf[None], np.zeros(n_agents, dtype=np.intp),
                                first, draws)
             got = [([(grid.cell_id(c), int(a)) for c, a in tau.steps],
