@@ -15,6 +15,8 @@ covers:
   after the call;
 - rollout records (trajectories, returns, min distances) for N in
   {1, 2, 5, 10}, noise in {0, 0.3}, uniform and Dirichlet policies;
+- reward() over every (free cell, action) of fuzzed maps, with the next
+  cell and the blocked flag step reports;
 - step outcomes on crowded boards with random frozen flags, noise in
   {0, 0.3, 1.0};
 - both of the above on PCG64-, MT19937- and SFC64-backed generators, each
@@ -44,7 +46,11 @@ covers:
   for 8 agents at the default horizon, and on 20 x 20 maps with starts in
   pockets that hold no goal, with plans where every agent reaches a goal
   digested apart from plans with a failing agent, and a failing agent's
-  path apart from the rest.
+  path apart from the rest; and the EpisodeRecords run_experiment builds
+  from each of those plans (trajectories, returns, min distances);
+- rollout records, q_train and mc_train on the default generator, reward()
+  and the plan records once more under the reward levels in ALT_REWARDS,
+  labelled with them.
 
 Takes a few minutes on one core.
 """
@@ -71,6 +77,15 @@ from evopath.bench import (  # noqa: E402
     _KNOWN_KEYS, default_horizon, experiment_from_config, parse_config_text, run_experiment,
     run_sweep, sweep_from_config,
 )
+from evopath.gridworld import StepEvent, reward  # noqa: E402
+
+try:
+    from evopath.metrics import _plan_record  # noqa: E402
+except ImportError:  # older revisions built the plan record in bench
+    from evopath.bench import _plan_record  # noqa: E402
+
+# reward levels unlike the defaults, so a rule that read the defaults shows
+ALT_REWARDS = RewardConfig(delta1=-0.25, delta2=-3.5, delta3=7.0)
 
 
 def digest(text: str) -> str:
@@ -196,8 +211,15 @@ def fingerprint_parents(rewards: RewardConfig) -> None:
                   f"next {rng.spawn(1)[0].random()!r}")
 
 
+def reward_label(rewards: RewardConfig) -> str:
+    """"" for the default levels, else the levels, so default lines keep their text."""
+    if rewards == RewardConfig():
+        return ""
+    return f" rewards=({rewards.delta1}, {rewards.delta2}, {rewards.delta3})"
+
+
 def fingerprint_rollouts(rewards: RewardConfig, bit_generator: str = "") -> None:
-    label = f" {bit_generator}" if bit_generator else ""
+    label = (f" {bit_generator}" if bit_generator else "") + reward_label(rewards)
     for n_agents in (1, 2, 5, 10):
         grid = gen_map(12, 12, 0.2, None, 3, 200 + n_agents)
         probs = np.random.default_rng(n_agents).dirichlet(np.ones(5), grid.n_cells)
@@ -230,7 +252,7 @@ def fingerprint_steps(bit_generator: str = "") -> None:
 
 
 def fingerprint_learners(rewards: RewardConfig, bit_generator: str = "") -> None:
-    label = f" {bit_generator}" if bit_generator else ""
+    label = (f" {bit_generator}" if bit_generator else "") + reward_label(rewards)
     # 8 agents at noise 1.0 is the densest draw pattern: every turn adds a coin
     # and a pick; 1,100 episodes seed more than one batch of children
     for n_agents, noises, episodes in ((1, (0.0, 0.25), 200), (3, (0.0, 0.25), 200),
@@ -249,6 +271,20 @@ def fingerprint_learners(rewards: RewardConfig, bit_generator: str = "") -> None
                     f"updates {stats.policy_updates} reached {stats.goal_reach_count} "
                     f"next {rng.spawn(1)[0].random()!r}"
                 )
+
+
+def fingerprint_rewards(rewards: RewardConfig) -> None:
+    """reward() for every (free cell, action) of fuzzed maps, with step's next cell and flag."""
+    parts = []
+    for k in range(40):
+        grid = gen_map(7, 6, 0.25, None, 3, 700 + k)
+        for cell in grid.free_cells():
+            for a in range(5):
+                out = step(grid, [cell], [a])
+                blocked = bool(out.events[0] & StepEvent.BLOCKED_BY_MAP)
+                for flag in sorted({blocked, False}):
+                    parts.append(repr(reward(cell, a, out.next_cells[0], grid, flag, rewards)))
+    print(f"reward{reward_label(rewards)}: {digest(','.join(parts))} over {len(parts)} cases")
 
 
 def fingerprint_experiments(bit_generator: str = "") -> None:
@@ -335,8 +371,13 @@ def print_plan_digests(label: str, instances: list) -> None:
         "with-failure failed paths": [], "with-failure expanded": [],
     }
     counts = {"all-succeed": 0, "with-failure": 0}
+    records = {rewards: [] for rewards in (RewardConfig(), ALT_REWARDS)}
     for grid, starts, horizon in instances:
         res = astar_plan(grid, starts, horizon)
+        for rewards, texts in records.items():
+            rec = _plan_record(res, grid, rewards)
+            texts.append(repr((rec.trajectories, rec.returns, rec.cumulative_return,
+                               rec.min_obstacle_distances)))
         kind = "all-succeed" if all(res.success) else "with-failure"
         counts[kind] += 1
         parts[f"{kind} expanded"].append(f"{res.expanded};")
@@ -352,6 +393,8 @@ def print_plan_digests(label: str, instances: list) -> None:
           f"{counts['with-failure']} with-failure")
     for name, texts in parts.items():
         print(f"plan {label} {name}: {digest(''.join(texts))}")
+    for rewards, texts in records.items():
+        print(f"plan {label} records{reward_label(rewards)}: {digest(''.join(texts))}")
 
 
 def fingerprint_plans() -> None:
@@ -409,6 +452,10 @@ def main() -> None:
     for bit_generator in ("", "MT19937", "SFC64"):
         fingerprint_learners(rewards, bit_generator)
         fingerprint_experiments(bit_generator)
+    for levels in (rewards, ALT_REWARDS):
+        fingerprint_rewards(levels)
+    fingerprint_rollouts(ALT_REWARDS)
+    fingerprint_learners(ALT_REWARDS)
     fingerprint_parents(rewards)
     base = parse_config_text(NOISY_SWEEP)
     data, summary = run_sweep(sweep_from_config(base), base)

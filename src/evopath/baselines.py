@@ -25,10 +25,12 @@ from .gridworld import (
     InvalidStateError,
     N_ACTIONS,
     RewardConfig,
+    StepEvent,
     WorldConfig,
     _each_child,
     _episode_draws,
     _play,
+    _prices,
     action_from_name,
     action_name,
 )
@@ -397,7 +399,7 @@ def _train_tabular(
     params: LearnParams,
     rng: np.random.Generator,
     values: list[list[float]],
-    record: Callable[[int, int, int, int, bool], None],
+    record: Callable[[int, int, int, int, int], None],
     fold: Callable[[], int] | None = None,
 ) -> tuple[QTable, Policy, TrainingStats]:
     """Episode loop shared by q_train and mc_train.
@@ -407,10 +409,10 @@ def _train_tabular(
     `gridworld._play` with epsilon-greedy behavior on values: an acting
     agent whose first-row uniform is below the episode's epsilon plays
     int(5 * u) for its second-row uniform u, otherwise the first largest
-    value of its cell's row. record(i, cell, action, next_cell,
-    blocked_by_map) sees every turn. fold(), when given, runs after each
-    episode and returns its update count; without it every turn counts as
-    one update.
+    value of its cell's row. record(i, cell, action, next_cell, event) sees
+    every turn, with the StepEvent flags _play reports for it. fold(), when
+    given, runs after each episode and returns its update count; without it
+    every turn counts as one update.
     """
     t0 = time.perf_counter()
     stats = TrainingStats()
@@ -456,24 +458,20 @@ def q_train(
     agent index order (policy_updates counts them). Goal states are absorbing
     and bootstrap as 0. The returned Policy is the epsilon-greedy extraction
     at explore_end. The update targets the executed action (after any action
-    noise), matching what the trajectory records elsewhere in the package.
-    Episodes and draws follow `_train_tabular`.
+    noise), matching what the trajectory records elsewhere in the package,
+    and its reward is `gridworld._prices`' for the turn's flags. Episodes and
+    draws follow `_train_tabular`.
     """
     lr = params.learning_rate
     gamma = params.discount
-    d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
-    goal = grid._goal_list
+    prices = _prices(reward_cfg)
+    reached = int(StepEvent.REACHED_GOAL)
     ql: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(grid.n_cells)]
 
-    def record(_i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
-        if goal[nxt]:
-            r_val = d3
-            boot = 0.0
-        else:
-            r_val = d2 if blocked_map else d1
-            boot = max(ql[nxt])
+    def record(_i: int, cur: int, a: int, nxt: int, event: int) -> None:
+        boot = 0.0 if event & reached else max(ql[nxt])
         row = ql[cur]
-        row[a] += lr * (r_val + gamma * boot - row[a])
+        row[a] += lr * (prices[event] + gamma * boot - row[a])
 
     return _train_tabular(grid, world, params, rng, ql, record)
 
@@ -491,20 +489,20 @@ def mc_train(
     pair is folded into a running average; behavior is epsilon-greedy on the
     current averages. policy_updates counts accumulator writes. The returned
     QTable holds the averages; the Policy is the epsilon-greedy extraction at
-    explore_end. Episodes and draws follow `_train_tabular`.
+    explore_end. Rewards are `gridworld._prices`' for each turn's flags.
+    Episodes and draws follow `_train_tabular`.
     """
     N = world.n_agents
     gamma = params.discount
-    d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
-    goal = grid._goal_list
+    prices = _prices(reward_cfg)
     n = grid.n_cells
     sums: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(n)]
     cnts: list[list[int]] = [[0] * N_ACTIONS for _ in range(n)]
     est: list[list[float]] = [[0.0] * N_ACTIONS for _ in range(n)]
     turns: list[list[tuple[int, int, float]]] = [[] for _ in range(N)]
 
-    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
-        turns[i].append((cur, a, d3 if goal[nxt] else d2 if blocked_map else d1))
+    def record(i: int, cur: int, a: int, _nxt: int, event: int) -> None:
+        turns[i].append((cur, a, prices[event]))
 
     def fold() -> int:
         updates = 0

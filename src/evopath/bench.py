@@ -20,19 +20,17 @@ from scipy import ndimage
 
 from . import egt as _egt
 from .baselines import LearnParams, astar_plan, mc_train, q_train
-from .egt import EGTParams, Policy, TrainingStats, Trajectory
+from .egt import EGTParams, Policy, TrainingStats
 from .gridworld import (
-    Action,
     GridMap,
     RewardConfig,
     WorldConfig,
     _each_child,
     _goal_reach,
-    action_delta,
     parse_map,
     sample_initial,
 )
-from .metrics import EpisodeRecord, MetricsReport, _min_hazard_distances, aggregate, rollout
+from .metrics import MetricsReport, _plan_record, aggregate, rollout
 
 ALGORITHMS = ("astar", "egt", "mc", "qlearn")
 
@@ -448,32 +446,6 @@ def sweep_from_config(kv: Mapping[str, str], axis: str | None = None) -> SweepSp
 # -- running -------------------------------------------------------------------
 
 
-_STEP_ACTIONS = {action_delta(a): a for a in Action}
-
-
-def _plan_record(plan, grid: GridMap, rewards: RewardConfig) -> EpisodeRecord:
-    """Convert a PlanResult into an EpisodeRecord for shared aggregation."""
-    trajectories = []
-    returns = []
-    for path, ok in zip(plan.paths, plan.success):
-        steps = [
-            (cur, _STEP_ACTIONS[(nxt[0] - cur[0], nxt[1] - cur[1])])
-            for cur, nxt in zip(path, path[1:])
-        ]
-        total = 0.0
-        for nxt in path[1:]:
-            total += rewards.delta3 if nxt in grid.goals else rewards.delta1
-        trajectories.append(Trajectory(steps=steps, final=path[-1], reached_goal=ok))
-        returns.append(total)
-    paths = [[grid.cell_id(c) for c in path] for path in plan.paths]
-    return EpisodeRecord(
-        trajectories=tuple(trajectories),
-        returns=tuple(returns),
-        cumulative_return=float(sum(returns)),
-        min_obstacle_distances=tuple(_min_hazard_distances(grid, paths)),
-    )
-
-
 def _train_learner(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[Policy, TrainingStats]:
@@ -497,7 +469,8 @@ def run_experiment(
     Training consumes rng (default_rng(cfg.seed) when None) first. Then
     evaluation episode e draws from child e of what is left of rng, taken
     from `gridworld._each_child`: astar samples its starts from it, a
-    learner's rollout draws its whole episode from it.
+    learner's rollout draws its whole episode from it. metrics builds the
+    records: `_plan_record` for astar's plans, rollout for the learners.
     """
     if cfg.eval_episodes < 1:
         raise ConfigError("eval.episodes must be >= 1")

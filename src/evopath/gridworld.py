@@ -13,7 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -120,6 +121,15 @@ class RewardConfig:
             )
 
 
+def _prices(cfg: RewardConfig) -> tuple[float, ...]:
+    """The package's one reward rule: a turn's reward, indexed by its StepEvent flags.
+
+    delta3 with REACHED_GOAL (8), else delta2 with BLOCKED_BY_MAP (2), else delta1.
+    """
+    d1, d2 = cfg.delta1, cfg.delta2
+    return (d1, d1, d2, d2, d1, d1, d2, d2) + (cfg.delta3,) * 8
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Episode shape: how many agents, how many steps, action noise level."""
@@ -203,15 +213,17 @@ class GridMap:
             raise MissingEndpointError("goal set is empty")
         if not self.starts:
             raise MissingEndpointError("start set is empty")
-        if any(p <= 0.0 for p in self.starts.values()):
+        ids, probs, _ = self._start_arrays
+        if (probs <= 0.0).any():
             raise MapError("start probabilities must be positive")
         total = sum(self.starts.values())
         if abs(total - 1.0) > 1e-9:
             raise MapError(f"start probabilities sum to {total!r}, not 1")
-        reach = _goal_reach(self._labels, self._goal_mask).tolist()
-        for x, y in self.starts:
-            if not reach[y * self.width + x]:
-                raise DisconnectedMapError(f"start {(x, y)} cannot reach any goal")
+        cut = ~_goal_reach(self._labels, self._goal_mask)[ids]
+        if cut.any():
+            # starts are sorted by (x, y), so this names the first cut-off start
+            bad = list(self.starts)[int(cut.argmax())]
+            raise DisconnectedMapError(f"start {bad} cannot reach any goal")
 
     # -- basic queries ------------------------------------------------------
 
@@ -228,17 +240,18 @@ class GridMap:
     def cell_id(self, cell: Cell) -> int:
         return cell[1] * self.width + cell[0]
 
+    def _cell_ids(self, cells: Collection[Cell]) -> np.ndarray:
+        """cell_id of each cell, in iteration order, over arrays."""
+        xy = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=2 * len(cells))
+        return xy[1::2] * self.width + xy[0::2]
+
     def id_to_cell(self, cid: int) -> Cell:
         return (cid % self.width, cid // self.width)
 
     def free_cells(self) -> list[Cell]:
         """All non-obstacle cells, sorted by (x, y)."""
-        return sorted(
-            (x, y)
-            for x in range(self.width)
-            for y in range(self.height)
-            if (x, y) not in self.obstacles
-        )
+        xs, ys = np.nonzero(self._free_mask.reshape(self.height, self.width).T)
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def _free_id(self, cell: Cell) -> int:
         """Id of a free in-bounds cell; InvalidStateError for any other cell."""
@@ -255,13 +268,13 @@ class GridMap:
     @cached_property
     def _free_mask(self) -> np.ndarray:
         mask = np.ones(self.n_cells, dtype=bool)
-        mask[[self.cell_id(c) for c in self.obstacles]] = False
+        mask[self._cell_ids(self.obstacles)] = False
         return mask
 
     @cached_property
     def _goal_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_cells, dtype=bool)
-        mask[[self.cell_id(c) for c in self.goals]] = True
+        mask[self._cell_ids(self.goals)] = True
         return mask
 
     @cached_property
@@ -304,18 +317,16 @@ class GridMap:
     @cached_property
     def _clearance(self) -> np.ndarray:
         # pad with a boundary ring of obstacles, then exact taxicab transform
-        occ = np.ones((self.height + 2, self.width + 2), dtype=np.uint8)
-        occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = 0
-        for x, y in self.obstacles:
-            occ[y + 1, x + 1] = 0
+        occ = np.zeros((self.height + 2, self.width + 2), dtype=np.uint8)
+        occ[1:-1, 1:-1] = self._free_mask.reshape(self.height, self.width)
         dist = ndimage.distance_transform_cdt(occ, metric="taxicab")
         return np.asarray(dist)[1:-1, 1:-1].reshape(-1).astype(np.int64)
 
     @cached_property
     def _start_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(start ids, probabilities, cumulative probabilities), sorted by cell."""
-        ids = np.array([self.cell_id(c) for c in self.starts], dtype=np.int64)
-        probs = np.array(list(self.starts.values()))
+        ids = self._cell_ids(self.starts)
+        probs = np.fromiter(self.starts.values(), dtype=np.float64, count=len(self.starts))
         return ids, probs, np.cumsum(probs)
 
     @cached_property
@@ -368,21 +379,11 @@ class GridMap:
         A cell that is both start and goal is written as 'G' (the text format
         cannot express the overlap, nor non-uniform start weights).
         """
-        rows = []
-        for y in range(self.height):
-            chars = []
-            for x in range(self.width):
-                c = (x, y)
-                if c in self.obstacles:
-                    chars.append("#")
-                elif c in self.goals:
-                    chars.append("G")
-                elif c in self.starts:
-                    chars.append("S")
-                else:
-                    chars.append(".")
-            rows.append("".join(chars))
-        return "\n".join(rows) + "\n"
+        chars = np.full(self.n_cells, ".")
+        chars[self._cell_ids(self.starts)] = "S"
+        chars[self._goal_mask] = "G"
+        chars[~self._free_mask] = "#"
+        return "".join("".join(row) + "\n" for row in chars.reshape(self.height, self.width))
 
 
 def parse_map(text: str) -> GridMap:
@@ -495,19 +496,24 @@ def _children(rng: np.random.Generator, B: int) -> Iterator[np.random.Generator]
     time, on one reused Generator: each yielded generator is valid only until
     the next one is yielded, and only its stream equals the child's (its
     seed_seq does not). Any other parent takes rng.spawn(B), which also
-    raises its TypeError for a parent without a SeedSequence.
+    raises its TypeError for a parent without a SeedSequence. numpy's spawn,
+    with its 32-bit child count, does not return once it reaches child index
+    2^32 - 1, so a batch that would reach it raises OverflowError for any
+    parent with a SeedSequence, leaving rng untouched.
     """
     ss = rng.bit_generator.seed_seq
+    if isinstance(ss, np.random.SeedSequence) and ss.n_children_spawned + B >= 1 << 32:
+        raise OverflowError(f"{B} children after {ss.n_children_spawned} would reach child "
+                            "index 2^32 - 1, past numpy's 32-bit SeedSequence spawn count")
     if type(rng.bit_generator) is not np.random.PCG64 or type(ss) is not np.random.SeedSequence:
         return iter(rng.spawn(B))
     lo = ss.n_children_spawned
     state = ss.__reduce__()[2]
     run, key = _words(ss.entropy), _words(ss.spawn_key)
-    # __setstate__ below takes (entropy, n_children_spawned, pool, pool_size,
-    # spawn_key); a child index from 2^32 on would take two words
+    # __setstate__ below takes (entropy, n_children_spawned, pool, pool_size, spawn_key)
     if (len(state) != 5 or state[0] is not ss.entropy or state[1] != lo or state[2] is not ss.pool
             or state[3] != ss.pool_size or state[4] != ss.spawn_key
-            or run is None or key is None or lo + B > 1 << 32):
+            or run is None or key is None):
         return iter(rng.spawn(B))
 
     # a child's entropy: the run entropy padded to the pool size, the
@@ -608,31 +614,35 @@ def _play(
     noise: float,
     draws: Sequence[float],
     choose: Callable[[int, int, int], int],
-    record: Callable[[int, int, int, int, bool], None],
+    record: Callable[[int, int, int, int, int], None],
 ) -> int:
     """Run one episode of up to `horizon` ticks over integer cell ids.
 
-    This is the package's one scalar copy of the tick rule; step, rollout,
-    q_train and mc_train all call it (egt's batched kernel restates it over
-    arrays). draws is the flattened _episode_draws block. Each tick, every
-    active agent i in ascending index order takes its action
-    a = choose(i, cell, k), k = t * N + i, with N = len(ids), reading its
-    behaviour row r at draws[r * horizon * N + k]; with noise, _play then
-    reads the agent's coin and pick from the block's last two rows.
+    The package's one scalar copy of the tick rule and the one place that
+    classifies a turn; step, rollout, q_train and mc_train call it (egt's
+    batched kernel restates the rule over arrays). draws is the flattened
+    _episode_draws block. Each tick, every active agent i in ascending index
+    order takes its action a = choose(i, cell, k), k = t * N + i, with
+    N = len(ids), reading its behaviour row r at draws[r * horizon * N + k];
+    with noise, _play then reads the agent's coin and pick from the block's
+    last two rows.
 
-    The move then resolves at once: an impermissible action leaves the agent
-    in place (blocked by the map); a target held by any agent (one that
-    already moved this tick, or one that has not moved yet) also leaves it in
-    place, which blocks both ends of a swap; otherwise the agent moves.
-    record(i, cell, a, next_cell, blocked_by_map) follows every turn. An
-    agent whose next cell is a goal becomes inactive: it freezes there and
-    keeps blocking its cell. Inactive agents read nothing. The episode stops
-    early once no agent is active. ids and active are updated in place.
-    Returns the number of turns taken, which is the number of record calls.
+    The move resolves at once, and record(i, cell, a, next_cell, event)
+    follows every turn, event being the turn's StepEvent flags as an int:
+    MOVED when no agent holds the target; BLOCKED_BY_MAP when a is
+    impermissible; BLOCKED_BY_AGENT when any agent holds the target (one
+    that moved this tick or one yet to move), which blocks both ends of a
+    swap; none of these for Stay. REACHED_GOAL is OR-ed in when next_cell is
+    a goal: the agent becomes inactive, freezes there and keeps blocking its
+    cell. Inactive agents read nothing. The episode stops early once no
+    agent is active. ids and active are updated in place. Returns the number
+    of turns, which is the number of record calls.
     """
     target = grid._target_list
     goal = grid._goal_list
     stay = int(Action.STAY)
+    # StepEvent's flags as plain ints
+    moved, by_map, by_agent, reached = 1, 2, 4, 8
     N = len(ids)
     noisy = noise > 0.0
     if noisy:
@@ -655,18 +665,21 @@ def _play(
             if noisy and draws[coin + k] < noise:
                 a = picks[N_ACTIONS * cur + int(draws[pick + k] * counts[cur])]
             tgt = target[cur][a]
-            # only Stay and impermissible actions target their own cell
-            blocked_map = tgt == cur and a != stay
-            nxt = cur
-            if tgt != cur and tgt not in occupied:
+            # the agent's own cell is occupied, so a free target is another cell
+            if tgt not in occupied:
                 occupied.discard(cur)
                 occupied.add(tgt)
                 ids[i] = nxt = tgt
-            record(i, cur, a, nxt, blocked_map)
-            turns += 1
+                event = moved
+            else:
+                nxt = cur
+                event = by_agent if tgt != cur else 0 if a == stay else by_map
             if goal[nxt]:
+                event |= reached
                 active[i] = False
                 n_active -= 1
+            record(i, cur, a, nxt, event)
+            turns += 1
     return turns
 
 
@@ -691,9 +704,10 @@ def step(
 
     With probability `action_noise` an agent's action is resampled uniformly
     from its permissible set (requires rng), by an _episode_draws block of
-    noise rows for all agents. Frozen agents keep their cell, read nothing
-    and report only REACHED_GOAL. With action_noise 0 nothing is drawn and
-    the result is a pure function of the inputs.
+    noise rows for all agents. An acting agent's events are those `_play`
+    reports for its turn; frozen agents keep their cell, read nothing and
+    report only REACHED_GOAL, on a goal. With action_noise 0 nothing is
+    drawn and the result is a pure function of the inputs.
     """
     if len(actions) != len(cells):
         raise ValueError("cells and actions must have the same length")
@@ -714,34 +728,18 @@ def step(
         if not 0 <= a < N_ACTIONS:
             raise ValueError(f"invalid action {a} for agent {i}")
 
-    target = grid._target_list
     goal = grid._goal_list
     active = [True] * len(ids) if frozen is None else [not f for f in frozen]
-    events = [
-        StepEvent.REACHED_GOAL if goal[c] and not on else StepEvent(0)
-        for c, on in zip(ids, active)
-    ]
+    events = [StepEvent.REACHED_GOAL if goal[c] and not on else StepEvent(0)
+              for c, on in zip(ids, active)]
 
-    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
-        if blocked_map:
-            ev = StepEvent.BLOCKED_BY_MAP
-        elif nxt != cur:
-            ev = StepEvent.MOVED
-        elif target[cur][a] != cur:
-            ev = StepEvent.BLOCKED_BY_AGENT
-        else:
-            ev = StepEvent(0)
-        if goal[nxt]:
-            ev |= StepEvent.REACHED_GOAL
-        events[i] = ev
+    def record(i: int, _cur: int, _a: int, _nxt: int, event: int) -> None:
+        events[i] = StepEvent(event)
 
     draws = (_episode_draws(grid, len(ids), 1, 0, action_noise, rng, place=False)[1].ravel().tolist()
              if action_noise > 0.0 else ())
     _play(grid, ids, active, 1, action_noise, draws, lambda i, _cur, _k: acts[i], record)
-    return StepOutcome(
-        next_cells=tuple(grid.id_to_cell(i) for i in ids),
-        events=tuple(events),
-    )
+    return StepOutcome(next_cells=tuple(grid.id_to_cell(i) for i in ids), events=tuple(events))
 
 
 def reward(
@@ -752,13 +750,13 @@ def reward(
     blocked_by_map: bool,
     cfg: RewardConfig,
 ) -> float:
-    """Reward for one transition: goal bonus, else impermissible penalty, else step cost."""
+    """Reward for one transition: goal bonus, else impermissible penalty, else step cost.
+
+    The level `_prices`, the one reward rule, gives its flags.
+    """
     del s, a  # the level depends only on the outcome
-    if s_next in grid.goals:
-        return cfg.delta3
-    if blocked_by_map:
-        return cfg.delta2
-    return cfg.delta1
+    goal = StepEvent.REACHED_GOAL if s_next in grid.goals else 0
+    return _prices(cfg)[goal | (StepEvent.BLOCKED_BY_MAP if blocked_by_map else 0)]
 
 
 def _sample_initial_ids(grid: GridMap, n_agents: int, rng: np.random.Generator) -> list[int]:

@@ -1,7 +1,8 @@
 """Policy evaluation rollouts and the measurement suite.
 
 rollout() simulates one multi-agent episode under a shared policy and records
-trajectories, per-agent returns, and obstacle proximity. aggregate() folds many
+trajectories, per-agent returns, and obstacle proximity; _plan_record records
+an astar plan alike, through the same builder. aggregate() folds many
 episode records into a report: mean path length over successful agents,
 success rates (overall and worst-start), expected minimum obstacle distance,
 update counts, and timings.
@@ -13,16 +14,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .baselines import PlanResult
 from .egt import Policy, TrainingStats, Trajectory
 from .gridworld import (
     ACTIONS,
+    Action,
     Cell,
     GridMap,
     N_ACTIONS,
     RewardConfig,
+    StepEvent,
     WorldConfig,
     _episode_draws,
     _play,
+    _prices,
     manhattan,
 )
 
@@ -88,6 +93,25 @@ def _min_hazard_distances(grid: GridMap, paths: Sequence[Sequence[int]]) -> list
     return out
 
 
+def _episode_record(grid: GridMap, paths: Sequence[Sequence[int]], actions: Sequence[Sequence[int]],
+                    returns: Sequence[float], reached: Sequence[bool]) -> EpisodeRecord:
+    """The one builder of EpisodeRecords, for rollouts and astar's plans alike.
+
+    Per agent i: paths[i] lists its cell id at each tick, its final cell
+    last; actions[i] holds its turns' executed actions; returns[i] is the
+    running total of `gridworld._prices` over its turns' StepEvent flags;
+    reached[i] is its reached_goal.
+    """
+    w = grid.width
+    trajectories = tuple(
+        Trajectory([((s % w, s // w), ACTIONS[a]) for s, a in zip(path, acts)],
+                   (path[-1] % w, path[-1] // w), ok)
+        for path, acts, ok in zip(paths, actions, reached)
+    )
+    return EpisodeRecord(trajectories, tuple(returns), float(sum(returns)),
+                         tuple(_min_hazard_distances(grid, paths)))
+
+
 def rollout(
     grid: GridMap,
     world: WorldConfig,
@@ -102,20 +126,20 @@ def rollout(
     generator the two play the same episode; run_experiment passes its
     evaluation episode e child e of its generator, from
     `gridworld._each_child`. rng is not kept after the call. The tick rule
-    is `gridworld._play`'s. Agents that start on a goal never act.
-    Trajectories record the action actually executed (after any action
-    noise).
+    is `gridworld._play`'s, and each turn is priced by the flags it reports.
+    Agents that start on a goal never act. Trajectories record the action
+    actually executed (after any action noise).
     """
     N = world.n_agents
-    d1, d2, d3 = reward_cfg.delta1, reward_cfg.delta2, reward_cfg.delta3
     goal = grid._goal_list
     # a flat zero-copy view; tolist() would rebuild the table on every call
     cdf = memoryview(policy._cdf.reshape(-1))
 
     ids, block = _episode_draws(grid, N, world.horizon, 1, world.action_noise, rng)
     draws = memoryview(block.reshape(-1))
-    s_tr: list[list[int]] = [[] for _ in range(N)]
-    a_tr: list[list[int]] = [[] for _ in range(N)]
+    prices = _prices(reward_cfg)
+    paths = [[c] for c in ids]
+    actions: list[list[int]] = [[] for _ in ids]
     ret = [0.0] * N
 
     def choose(_i: int, cur: int, k: int) -> int:
@@ -123,31 +147,37 @@ def rollout(
         c = N_ACTIONS * cur
         return (cdf[c] < u) + (cdf[c + 1] < u) + (cdf[c + 2] < u) + (cdf[c + 3] < u)
 
-    def record(i: int, cur: int, a: int, nxt: int, blocked_map: bool) -> None:
-        s_tr[i].append(cur)
-        a_tr[i].append(a)
-        ret[i] += d3 if goal[nxt] else d2 if blocked_map else d1
+    def record(i: int, _cur: int, a: int, nxt: int, event: int) -> None:
+        paths[i].append(nxt)
+        actions[i].append(a)
+        ret[i] += prices[event]
 
     _play(grid, ids, [not goal[c] for c in ids], world.horizon, world.action_noise,
           draws, choose, record)
+    return _episode_record(grid, paths, actions, ret, [goal[c] for c in ids])
 
-    w = grid.width
-    trajectories = tuple(
-        Trajectory(
-            steps=[((s % w, s // w), ACTIONS[a]) for s, a in zip(s_tr[i], a_tr[i])],
-            final=(ids[i] % w, ids[i] // w),
-            reached_goal=goal[ids[i]],
-        )
-        for i in range(N)
-    )
-    return EpisodeRecord(
-        trajectories=trajectories,
-        returns=tuple(ret),
-        cumulative_return=float(sum(ret)),
-        min_obstacle_distances=tuple(
-            _min_hazard_distances(grid, [s_tr[i] + [ids[i]] for i in range(N)])
-        ),
-    )
+
+def _plan_record(plan: PlanResult, grid: GridMap, rewards: RewardConfig) -> EpisodeRecord:
+    """An astar_plan result as an EpisodeRecord, for shared aggregation.
+
+    A step's action is the one whose `GridMap._perm_target` target is the
+    next cell, Stay for a wait, and its flags, which `gridworld._prices`
+    prices, are `gridworld._play`'s for such a turn. reached_goal is the
+    plan's success flag.
+    """
+    prices = _prices(rewards)
+    target, goal = grid._target_list, grid._goal_list
+    moved, reached = int(StepEvent.MOVED), int(StepEvent.REACHED_GOAL)
+    paths = [[grid.cell_id(c) for c in path] for path in plan.paths]
+    actions, returns = [], []
+    for path in paths:
+        steps = list(zip(path, path[1:]))
+        actions.append([Action.STAY if b == a else target[a].index(b) for a, b in steps])
+        total = 0.0
+        for a, b in steps:
+            total += prices[moved * (b != a) | reached * goal[b]]
+        returns.append(total)
+    return _episode_record(grid, paths, actions, returns, plan.success)
 
 
 @dataclass(frozen=True)

@@ -619,28 +619,44 @@ def reference_step(grid, cells, actions, rng, noise, frozen):
     With noise, rng draws a row of coins, then a row of picks, one of each
     per agent, frozen or not. A frozen agent keeps its cell and reads
     nothing; another agent whose coin is below the noise level plays its
-    pick over its cell's permissible actions in ascending order. Returns the
-    next cells.
+    pick over its cell's permissible actions in ascending order.
+
+    Returns (next cells, per-agent events). An acting agent's events follow
+    from its executed action: BLOCKED_BY_MAP when the action is
+    impermissible, none for Stay, BLOCKED_BY_AGENT when an agent holds the
+    target, else MOVED; REACHED_GOAL is added when its next cell is a goal.
+    A frozen agent has REACHED_GOAL when it sits on a goal, else none.
     """
+    from evopath.gridworld import StepEvent
+
     w, h, obstacles = grid.width, grid.height, grid.obstacles
     cells = list(cells)
+    events = [StepEvent(0)] * len(cells)
     if noise > 0.0:
         coins = rng.random(len(cells)).tolist()
         picks = rng.random(len(cells)).tolist()
     occupied = set(cells)
     for i, cur in enumerate(cells):
-        if frozen[i]:
-            continue
-        a = int(actions[i])
-        if noise > 0.0 and coins[i] < noise:
-            allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
-            a = allowed[int(picks[i] * len(allowed))]
-        nxt, blocked = transition(cur, a, w, h, obstacles)
-        if not blocked and nxt not in occupied:
-            occupied.remove(cur)
-            occupied.add(nxt)
-            cells[i] = nxt
-    return tuple(cells)
+        if not frozen[i]:
+            a = int(actions[i])
+            if noise > 0.0 and coins[i] < noise:
+                allowed = [k for k in range(5) if not transition(cur, k, w, h, obstacles)[1]]
+                a = allowed[int(picks[i] * len(allowed))]
+            nxt, blocked = transition(cur, a, w, h, obstacles)
+            if blocked:
+                events[i] = StepEvent.BLOCKED_BY_MAP
+            elif nxt == cur:
+                events[i] = StepEvent(0)
+            elif nxt in occupied:
+                events[i] = StepEvent.BLOCKED_BY_AGENT
+            else:
+                events[i] = StepEvent.MOVED
+                occupied.remove(cur)
+                occupied.add(nxt)
+                cells[i] = nxt
+        if cells[i] in grid.goals:
+            events[i] |= StepEvent.REACHED_GOAL
+    return tuple(cells), tuple(events)
 
 
 def reference_tabular(grid, world, reward_cfg, params, rng, method):

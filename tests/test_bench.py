@@ -22,7 +22,6 @@ from evopath.bench import (
     GenerationError,
     SweepSpec,
     _ess_kwargs,
-    _plan_record,
     default_episode_budget,
     default_horizon,
     experiment_from_config,
@@ -35,6 +34,7 @@ from evopath.bench import (
 )
 from evopath.egt import EGTParams
 from evopath.gridworld import RewardConfig, WorldConfig, parse_map, sample_initial
+from evopath.metrics import _plan_record
 from oracles import bfs_distance, min_hazard_distance, reference_gen_map, transition
 
 BASE_SWEEP = (
@@ -413,7 +413,6 @@ def test_plan_records_match_oracles_on_fuzzed_plans():
     # crowded boards, so some agents fail and their paths end early; an
     # ended path holds its last cell for the other agents' distances
     rng = np.random.default_rng(99)
-    rewards = RewardConfig()
     checked = failed = 0
     while checked < 60:
         w, h = (int(v) for v in rng.integers(3, 9, size=2))
@@ -423,24 +422,26 @@ def test_plan_records_match_oracles_on_fuzzed_plans():
             continue
         n_agents = int(rng.integers(1, min(7, len(grid.starts)) + 1))
         plan = astar_plan(grid, sample_initial(grid, n_agents, rng), int(rng.integers(1, 2 * (w + h))))
-        rec = _plan_record(plan, grid, rewards)
-        for i, (path, tau) in enumerate(zip(plan.paths, rec.trajectories)):
-            hand = 0.0
-            for cell in path[1:]:
-                hand += rewards.delta3 if cell in grid.goals else rewards.delta1
-            assert rec.returns[i] == hand
-            others = [
-                [p[t] if t < len(p) else p[-1] for j, p in enumerate(plan.paths) if j != i]
-                for t in range(len(path))
-            ]
-            assert rec.min_obstacle_distances[i] == min_hazard_distance(
-                path, w, h, grid.obstacles, others
-            )
-            assert [c for c, _ in tau.steps] + [tau.final] == list(path)
-            for (cell, action), nxt in zip(tau.steps, path[1:]):
-                assert transition(cell, int(action), w, h, grid.obstacles) == (nxt, False)
-            assert tau.reached_goal == plan.success[i]
-        assert rec.cumulative_return == sum(rec.returns)
+        # the default levels, and others that a rule reading the defaults would miss
+        for rewards in (RewardConfig(), RewardConfig(delta1=-0.25, delta2=-3.5, delta3=7.0)):
+            rec = _plan_record(plan, grid, rewards)
+            for i, (path, tau) in enumerate(zip(plan.paths, rec.trajectories)):
+                hand = 0.0
+                for cell in path[1:]:
+                    hand += rewards.delta3 if cell in grid.goals else rewards.delta1
+                assert rec.returns[i] == hand
+                others = [
+                    [p[t] if t < len(p) else p[-1] for j, p in enumerate(plan.paths) if j != i]
+                    for t in range(len(path))
+                ]
+                assert rec.min_obstacle_distances[i] == min_hazard_distance(
+                    path, w, h, grid.obstacles, others
+                )
+                assert [c for c, _ in tau.steps] + [tau.final] == list(path)
+                for (cell, action), nxt in zip(tau.steps, path[1:]):
+                    assert transition(cell, int(action), w, h, grid.obstacles) == (nxt, False)
+                assert tau.reached_goal == plan.success[i]
+            assert rec.cumulative_return == sum(rec.returns)
         failed += not all(plan.success)
         checked += 1
     assert failed > 0

@@ -1,4 +1,5 @@
 """Counter-table learner: fitness, updates, policy construction, training, invasion."""
+import json
 import math
 
 import numpy as np
@@ -247,20 +248,31 @@ def test_children_equal_rng_spawn(parent, B):
 
 
 def test_children_at_the_last_one_word_index():
-    rng, twin = _pcg(5, n_children_spawned=2**32 - 3), _pcg(5, n_children_spawned=2**32 - 3)
-    for got, want in zip(_children(rng, 2), twin.spawn(2), strict=True):
-        assert got.bit_generator.state == want.bit_generator.state
-    assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
+    # children that end at index 2^32 - 2 still equal rng.spawn's, banked
+    # (PCG64) or not (MT19937)
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        rng, twin = (np.random.Generator(bit_generator(np.random.SeedSequence(
+            5, n_children_spawned=2**32 - 3))) for _ in range(2))
+        for got, want in zip(_children(rng, 2), twin.spawn(2), strict=True):
+            # MT19937's state holds an array: compare it as a list
+            assert (json.dumps(got.bit_generator.state, default=np.ndarray.tolist)
+                    == json.dumps(want.bit_generator.state, default=np.ndarray.tolist))
+        assert rng.bit_generator.seed_seq.n_children_spawned == 2**32 - 1
 
-    # an index from 2^32 on takes two spawn-key words and is left to
-    # rng.spawn, stood in for here: numpy 2.4's own spawn, with its 32-bit
-    # spawn count, does not return once it reaches index 2^32 - 1
+    # numpy 2.4's own spawn, with its 32-bit spawn count, does not return once
+    # it reaches index 2^32 - 1, so a batch that would reach that index raises
+    # before the parent is touched. spawn is stood in for by one that fails at
+    # once, so a guard that lets such a batch through fails fast, not hangs.
     class Parent(np.random.Generator):
         def spawn(self, n_children):
-            return ["rng.spawn"] * n_children
+            raise AssertionError(f"spawn({n_children}) was called")
 
-    parent = Parent(np.random.PCG64(np.random.SeedSequence(5, n_children_spawned=2**32 - 3)))
-    assert list(_children(parent, 6)) == ["rng.spawn"] * 6
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        for lo, B in ((2**32 - 3, 3), (2**32 - 3, 6), (2**32 - 1, 1), (2**32 - 2, 512)):
+            parent = Parent(bit_generator(np.random.SeedSequence(5, n_children_spawned=lo)))
+            with pytest.raises(OverflowError, match=r"would reach child index 2\^32 - 1"):
+                _children(parent, B)
+            assert parent.bit_generator.seed_seq.n_children_spawned == lo
 
 
 def test_children_of_a_seedless_parent_raise_as_rng_spawn_does():

@@ -1,5 +1,7 @@
 """Map parsing, stepping and reward semantics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,37 @@ def test_gridmap_reach_matches_the_plain_flood_on_fuzzed_maps():
     assert built >= 100 and disconnected >= 50
 
 
+def test_gridmap_tables_match_a_per_cell_construction_on_fuzzed_maps():
+    # from 1 x k and k x 1 up to 100 x 100; every other map weights its starts unevenly
+    rng = np.random.default_rng(2029)
+    shapes = [(1, 2), (1, 9), (9, 1), (1, 40), (40, 1), (7, 5), (20, 20), (33, 17), (100, 100)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 30, 2)) for _ in range(40)]
+    built = 0
+    for k, (w, h) in enumerate(shapes):
+        try:
+            base = gen_map(w, h, float(rng.choice([0.0, 0.2, 0.4])), None, int(rng.integers(1, 4)), k)
+        except GenerationError:
+            continue
+        starts = base.starts
+        if k % 2:
+            weights = rng.random(len(starts)) + 0.1
+            starts = dict(zip(base.starts, (weights / weights.sum()).tolist()))
+        grid = GridMap(w, h, base.obstacles, base.goals, starts)
+        cells = [grid.id_to_cell(i) for i in range(grid.n_cells)]
+        assert grid._free_mask.tolist() == [c not in grid.obstacles for c in cells]
+        assert grid._goal_mask.tolist() == [c in grid.goals for c in cells]
+        # taxicab distance to the nearest obstacle or ring cell, by BFS on the open padded grid
+        hazards = [(x + 1, y + 1) for x, y in [*grid.obstacles, *oracles.boundary_ring(w, h)]]
+        dist = oracles.bfs_distance(w + 2, h + 2, (), hazards)
+        assert grid._clearance.tolist() == [dist[x + 1, y + 1] for x, y in cells]
+        ids, probs, cdf = grid._start_arrays
+        assert ids.dtype == np.int64 and ids.tolist() == [grid.cell_id(c) for c in grid.starts]
+        assert probs.tolist() == list(grid.starts.values())
+        assert cdf.tolist() == list(itertools.accumulate(grid.starts.values()))
+        built += 1
+    assert built >= 40
+
+
 def test_gridmap_rejects_overlap():
     with pytest.raises(MapError):
         GridMap(2, 2, obstacles=[(0, 0)], goals=[(0, 0)], starts=[(1, 1)])
@@ -156,10 +189,12 @@ def test_gridmap_rejects_out_of_bounds_cells_by_name(label, kwargs):
 
 
 def test_gridmap_rejects_bad_start_weights():
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match=r"^start probabilities sum to 0\.8, not 1$"):
         GridMap(2, 2, goals=[(1, 1)], starts={(0, 0): 0.4, (0, 1): 0.4})
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match="^start probabilities must be positive$"):
         GridMap(2, 2, goals=[(1, 1)], starts={(0, 0): -1.0, (0, 1): 2.0})
+    with pytest.raises(MapError, match="^start probabilities must be positive$"):
+        GridMap(2, 2, goals=[(1, 1)], starts={(0, 0): 1.0, (0, 1): 0.0})
 
 
 # -- actions ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from evopath.egt import (
     Policy, TrainingStats, Trajectory, _draw_batch, _evaluate_fitness, _run_episodes, fitness,
 )
 from evopath.gridworld import (
-    Action, GridMap, RewardConfig, WorldConfig, _play, parse_map, sample_initial, step,
+    Action, GridMap, RewardConfig, StepEvent, WorldConfig, _play, parse_map, sample_initial, step,
 )
 from evopath.metrics import (
     EpisodeRecord,
@@ -43,6 +43,7 @@ LANE = "SSG"
 
 RCFG = RewardConfig()
 D1, D2, D3 = RCFG.delta1, RCFG.delta2, RCFG.delta3
+RCFG_ALT = RewardConfig(delta1=-0.25, delta2=-3.5, delta3=7.0)
 
 
 def point_mass(grid, action_of):
@@ -384,18 +385,21 @@ def test_rollout_matches_reference_on_crowded_fuzzed_maps():
                                 action_noise=noise)
             policy = Policy(grid, rng.dirichlet(np.full(5, 0.5), grid.n_cells))
             seed = int(rng.integers(1 << 30))
-            run, ref_run = np.random.default_rng(seed), np.random.default_rng(seed)
-            rec = rollout(grid, world, RCFG, policy, run)
-            ref = reference_rollout(grid, world, RCFG, policy, ref_run)
-            got = (
-                [([(c, int(a)) for c, a in tau.steps], tau.final, tau.reached_goal)
-                 for tau in rec.trajectories],
-                list(rec.returns),
-                list(rec.min_obstacle_distances),
-            )
-            assert got == ref, f"{w}x{h}, {n_agents} agents, noise {noise}:\n{grid.to_text()}"
-            assert rec.cumulative_return == sum(rec.returns)
-            assert run.random() == ref_run.random()
+            # the default levels, and others that a rule reading the defaults would miss
+            for rewards in (RCFG, RCFG_ALT):
+                run, ref_run = np.random.default_rng(seed), np.random.default_rng(seed)
+                rec = rollout(grid, world, rewards, policy, run)
+                ref = reference_rollout(grid, world, rewards, policy, ref_run)
+                got = (
+                    [([(c, int(a)) for c, a in tau.steps], tau.final, tau.reached_goal)
+                     for tau in rec.trajectories],
+                    list(rec.returns),
+                    list(rec.min_obstacle_distances),
+                )
+                assert got == ref, (f"{w}x{h}, {n_agents} agents, noise {noise}, {rewards}:\n"
+                                    f"{grid.to_text()}")
+                assert rec.cumulative_return == sum(rec.returns)
+                assert run.random() == ref_run.random()
             checked += 1
 
 
@@ -406,6 +410,7 @@ def test_rollout_and_step_leave_any_bit_generator_after_their_block(bit_generato
 
     rng = np.random.default_rng(99)
     checked = 0
+    seen = StepEvent(0)
     while checked < 12:
         w, h = (int(v) for v in rng.integers(3, 9, size=2))
         try:
@@ -432,11 +437,17 @@ def test_rollout_and_step_leave_any_bit_generator_after_their_block(bit_generato
         actions = rng.integers(0, 5, n_agents).tolist()
         frozen = (rng.random(n_agents) < 0.3).tolist()
         out = step(grid, cells, actions, run, action_noise=noise, frozen=frozen)
-        assert out.next_cells == reference_step(grid, cells, actions, ref_run, noise, frozen)
+        assert (out.next_cells, out.events) == reference_step(
+            grid, cells, actions, ref_run, noise, frozen)
+        for event in out.events:
+            seen |= event
         # a noisy step draws a coin row and a pick row, frozen agents included
         layout.random((rows - 1, 1, n_agents))
         assert run.random() == ref_run.random() == layout.random()
         checked += 1
+    # the fuzzed steps move, meet walls and agents, and reach goals
+    assert seen == (StepEvent.MOVED | StepEvent.BLOCKED_BY_MAP | StepEvent.BLOCKED_BY_AGENT
+                    | StepEvent.REACHED_GOAL)
 
     # agents parked from the start still draw their block; calls without
     # noise or without ticks read nothing
