@@ -11,8 +11,9 @@ covers:
   reports for N in {1, 3, 10}, noise in {0, 0.1, 0.25}, both behavior
   modes, ESS with and without an invader;
 - both again on parents seeded by a list, by 2^63 - 25, by a spawned child,
-  and on MT19937 and SFC64, each with the parent's next spawned uniform
-  after the call;
+  by a SeedSequence with pool size 8 and one with spawn key (2^35, 1), and
+  on MT19937 and SFC64, each with the parent's next spawned uniform after
+  the call;
 - rollout records (trajectories, returns, min distances) for N in
   {1, 2, 5, 10}, noise in {0, 0.3}, uniform and Dirichlet policies;
 - reward() over every (free cell, action) of fuzzed maps, with the next
@@ -186,6 +187,10 @@ def fingerprint_parents(rewards: RewardConfig) -> None:
         "[134, 1]": lambda: np.random.default_rng([134, 1]),
         "2**63-25": lambda: np.random.default_rng(2**63 - 25),
         "spawned": lambda: np.random.default_rng(7).spawn(2)[1],
+        "pool 8": lambda: np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(134, pool_size=8))),
+        "key (2**35, 1)": lambda: np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(134, spawn_key=(2**35, 1)))),
         "MT19937": lambda: make_rng(7, "MT19937"),
         "SFC64": lambda: make_rng(7, "SFC64"),
     }

@@ -453,7 +453,7 @@ def _run_episodes(
             fire = UN[t, live] < noise
             if fire.any():
                 cf = c[fire]
-                k = (UP[t, live][fire] * counts[cf]).astype(np.int64)
+                k = (UP[t, live[fire]] * counts[cf]).astype(np.int64)
                 a[fire] = padded[cf, k]
         S[live, t] = c
         A[live, t] = a
@@ -463,10 +463,10 @@ def _run_episodes(
             off = offset[live]
             dest = off + tgt
             occ = owner[dest]
-            # eligible: a real move into an empty cell or one held by a
-            # lower-index agent; only the lowest eligible claimant of a cell
-            # can enter it
-            elig = np.flatnonzero((tgt != c) & (occ < i))
+            # eligible: a move into an empty cell or one held by a lower-index
+            # agent (a Stay or impermissible move targets the agent's own cell,
+            # held by itself); only the lowest eligible claimant can enter
+            elig = np.flatnonzero(occ < i)
             _, lowest = np.unique(dest[elig], return_index=True)
             win = elig[lowest]
             go = occ[win] < 0
@@ -487,9 +487,8 @@ def _run_episodes(
             mv = win[go]
             owner[off[mv] + c[mv]] = -1
             owner[dest[mv]] = i[mv]
-            nxt = c.copy()
-            nxt[mv] = tgt[mv]
-            tgt = nxt
+            c[mv] = tgt[mv]
+            tgt = c
         cells[live] = tgt
         arrived = goal[tgt]
         if arrived.any():
@@ -545,12 +544,11 @@ def _submit(
     N = len(ep.first) // len(accept)
     u = ep.stretches(table.grid.width)
     p = success_update_probability(u[won], params.eta, params.alpha)
-    # submission order: per episode, by arrival tick, then by agent
+    # submission order: per episode (so b is sorted), by arrival tick, then by agent
     q = np.flatnonzero(won)
     order = np.lexsort((q, ep.arrival[q], q // N))
     b = q[order] // N
-    counts = np.bincount(b, minlength=len(accept))
-    rank = np.arange(len(b)) - (np.cumsum(counts) - counts)[b]
+    rank = np.arange(len(b)) - np.searchsorted(b, b)
     delta = np.where(~won & (u >= params.beta), -params.mu, 0)
     delta[q[order[accept[b, rank] < p[order]]]] = params.nu
 
@@ -558,6 +556,7 @@ def _submit(
     moved = np.flatnonzero(delta)
     T = ep.S.shape[1]
     K = table._values.size
+    values, defined = table._values.reshape(-1), table._defined.reshape(-1)
     rows = max(1, _SUBMIT_CELLS // max(T, 1))
     for lo in range(0, len(moved), rows):
         j = moved[lo:lo + rows]
@@ -565,9 +564,9 @@ def _submit(
         keys = (ep.S[j] * N_ACTIONS + ep.A[j])[np.arange(T) < L[:, None]]
         # (trajectory, cell * 5 + action), each distinct one once
         tk = np.unique(np.repeat(np.arange(len(j)) * K, L) + keys)
-        t, cid, a = tk // K, tk % K // N_ACTIONS, tk % N_ACTIONS
-        np.add.at(table._values, (cid, a), delta[j][t])
-        table._defined[cid, a] = True
+        t, key = np.divmod(tk, K)
+        np.add.at(values, key, delta[j][t])
+        defined[key] = True
         touched[j] = np.bincount(t, minlength=len(j))
     return touched
 

@@ -439,49 +439,35 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _words(x) -> list[int] | None:
-    """x as SeedSequence coerces it: 32-bit words, least significant first.
+def _n_words(x) -> int | None:
+    """How many 32-bit words SeedSequence coerces x to.
 
-    x is an int or a (nested) sequence of them; None where x holds a string,
-    which SeedSequence parses and this does not.
+    x is an int, which takes max(1, ceil(bits / 32)) words, or a (nested)
+    sequence of them; None where x holds a string, which SeedSequence parses
+    and this does not.
     """
     if isinstance(x, (int, np.integer)):
-        n = int(x)
-        out = [n & _MASK32]
-        while n := n >> 32:
-            out.append(n & _MASK32)
-        return out
+        return max(1, -(-int(x).bit_length() // 32))
     if isinstance(x, str):
         return None
-    out = []
-    for v in x:
-        w = _words(v)
-        if w is None:
-            return None
-        out += w
-    return out
+    counts = [_n_words(v) for v in x]
+    return None if None in counts else sum(counts)
 
 
 def _hashmix(value, h, mult: int = _MULT_A):
-    """SeedSequence's hashmix of 32-bit words: value and h are ints or uint32 arrays.
-
-    Returns the hashed value and the next hash constant.
-    """
-    h2 = h * mult & _MASK32
-    value = (value ^ h) * h2 & _MASK32
-    return value ^ value >> 16, h2
+    """SeedSequence's hashmix of uint32 words value under the hash constants h."""
+    value = (value ^ h) * (h * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
     """h and the n - 1 hash constants after it, as a uint32 column."""
-    out = [h]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    consts = [h * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)]
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
 def _mix(x, y):
-    """SeedSequence's mix of 32-bit words (ints or uint32 arrays)."""
+    """SeedSequence's mix of 32-bit words, as uint32 arrays."""
     r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
     return r ^ r >> 16
 
@@ -490,10 +476,11 @@ def _children(rng: np.random.Generator, B: int) -> Iterator[np.random.Generator]
     """An iterator over B generators that equal rng.spawn(B)'s children, in order.
 
     rng advances as rng.spawn(B) advances it, when this is called. On a PCG64
-    parent whose SeedSequence has the layout checked below, the children's
-    entropy pools, generate_state(4, uint64) words and PCG64 (state, inc)
-    pairs are computed over the whole batch in numpy and set, one child at a
-    time, on one reused Generator: each yielded generator is valid only until
+    parent whose SeedSequence has the layout checked below, the children
+    share the parent's entropy pool and differ only by their index, so their
+    pools, generate_state(4, uint64) words and PCG64 (state, inc) pairs are
+    computed over the whole batch in numpy from ss.pool and set, one child at
+    a time, on one reused Generator: each yielded generator is valid only until
     the next one is yielded, and only its stream equals the child's (its
     seed_seq does not). Any other parent takes rng.spawn(B), which also
     raises its TypeError for a parent without a SeedSequence. numpy's spawn,
@@ -509,38 +496,23 @@ def _children(rng: np.random.Generator, B: int) -> Iterator[np.random.Generator]
         return iter(rng.spawn(B))
     lo = ss.n_children_spawned
     state = ss.__reduce__()[2]
-    run, key = _words(ss.entropy), _words(ss.spawn_key)
+    n_run, n_key = _n_words(ss.entropy), _n_words(ss.spawn_key)
     # __setstate__ below takes (entropy, n_children_spawned, pool, pool_size, spawn_key)
     if (len(state) != 5 or state[0] is not ss.entropy or state[1] != lo or state[2] is not ss.pool
             or state[3] != ss.pool_size or state[4] != ss.spawn_key
-            or run is None or key is None):
+            or n_run is None or n_key is None):
         return iter(rng.spawn(B))
 
-    # a child's entropy: the run entropy padded to the pool size, the
-    # parent's spawn key, then the child's index. All but the index is shared
-    # by the batch and mixed on ints; the index mixes into every pool word at
-    # once, as a (pool, batch) array.
+    # a child's entropy is the parent's words (the run entropy padded to the
+    # pool size, then the spawn key) and then its index. So its pool before
+    # the index is ss.pool, after P hashmix calls per word; the index mixes
+    # into every pool word at once, as a (pool, batch) array.
     P = ss.pool_size
-    words = run + [0] * (P - len(run)) + key
-    h = _INIT_A
-    pool = []
-    for w in words[:P]:
-        m, h = _hashmix(w, h)
-        pool.append(m)
-    for s in range(P):
-        for d in range(P):
-            if s != d:
-                m, h = _hashmix(pool[s], h)
-                pool[d] = _mix(pool[d], m)
-    for w in words[P:]:
-        for d in range(P):
-            m, h = _hashmix(w, h)
-            pool[d] = _mix(pool[d], m)
+    h = _INIT_A * pow(_MULT_A, P * (max(n_run, P) + n_key), 1 << 32) & _MASK32
     index = np.arange(lo, lo + B, dtype=np.int64).astype(np.uint32)
-    m, _ = _hashmix(index, _hash_consts(h, _MULT_A, P))
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], m)
+    pool = _mix(ss.pool[:, None], _hashmix(index, _hash_consts(h, _MULT_A, P)))
     # generate_state(4, uint64): 8 words over the cycled pool, paired little-endian
-    seed, _ = _hashmix(pool[np.arange(8) % P], _hash_consts(_INIT_B, _MULT_B, 8), _MULT_B)
+    seed = _hashmix(pool[np.arange(8) % P], _hash_consts(_INIT_B, _MULT_B, 8), _MULT_B)
     seed = seed.astype(np.uint64)
     s_hi, s_lo, i_hi, i_lo = seed[0::2] | seed[1::2] << np.uint64(32)
 

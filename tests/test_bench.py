@@ -1,11 +1,13 @@
 """Config resolution, instance generation, and sweep orchestration."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from evopath import bench, egt
+from evopath import bench, cli, egt
 from evopath.baselines import LearnParams, astar_plan
 from evopath.bench import (
     CSV_HEADER,
@@ -36,6 +38,8 @@ from evopath.egt import EGTParams
 from evopath.gridworld import RewardConfig, WorldConfig, parse_map, sample_initial
 from evopath.metrics import _plan_record
 from oracles import bfs_distance, min_hazard_distance, reference_gen_map, transition
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_SWEEP = (
     "algorithm=egt\nseed=9\ntiming=off\nmap.density=0.1\nmap.goals=1\n"
@@ -294,6 +298,40 @@ def test_bad_values_are_reported_with_their_key(key, value, algorithm):
 def test_missing_map_file_reports_a_config_error(tmp_path):
     with pytest.raises(ConfigError):
         experiment_from_config(kv(f"algorithm=egt\nmap.file={tmp_path}/absent.map\n"))
+
+
+@pytest.mark.parametrize("name", ["ess.cfg", "quickstart.cfg", "rooms.cfg"])
+def test_shipped_experiment_configs_resolve(name, monkeypatch):
+    # rooms.cfg's map.file is relative to the repository root
+    monkeypatch.chdir(ROOT)
+    kv = parse_config(f"configs/{name}")
+    cfg = experiment_from_config(kv)
+    assert cfg.algorithm == kv["algorithm"]
+    if name == "ess.cfg":
+        assert _ess_kwargs(kv) == {"p_new": 0.1, "extra_episode_fraction": 0.1,
+                                   "eval_episodes": 200, "agreement_threshold": 0.95,
+                                   "fitness_tolerance": 0.05}
+
+
+@pytest.mark.parametrize("name", ["agent_sweep.cfg", "grid_sweep.cfg"])
+def test_shipped_sweep_configs_resolve_in_every_cell(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    text = (ROOT / "configs" / name).read_text()
+    # the header names the subcommand that runs the file, which fixes the axis
+    command = re.search(r"evopath (sweep-\S+)", text).group(1)
+    axis = {n: handler for n, _help, handler in cli._COMMANDS}[command].keywords["axis"]
+    base = parse_config_text(text)
+    spec = sweep_from_config(base, axis)
+    maps: dict = {}
+    for algo in spec.algorithms:
+        for value in spec.values:
+            for rep in range(spec.reps):
+                cfg = experiment_from_config(bench._cell_kv(base, spec, algo, value, rep), maps)
+                assert cfg.algorithm == algo
+                if axis == "grid_size":
+                    assert (cfg.grid.width, cfg.grid.height) == (value, value)
+                else:
+                    assert cfg.world.n_agents == value
 
 
 @pytest.mark.parametrize(

@@ -221,6 +221,15 @@ CHILDREN_PARENTS = {
     "10-word entropy": (lambda: np.random.default_rng([0xFFFFFFFF - 3 * k for k in range(10)]),
                         True),
     "pool size 8": (lambda: _pcg(134, pool_size=8), True),
+    # entropy and keys whose words outnumber their entries
+    "key (2^35, 1)": (lambda: _pcg(134, spawn_key=(2**35, 1)), True),
+    "[2^40, 3, 7] entropy": (lambda: np.random.default_rng([2**40, 3, 7]), True),
+    "20-word entropy, key (5,)": (lambda: _pcg([0xFFFFFFFF - 3 * k for k in range(20)],
+                                                spawn_key=(5,)), True),
+    "uint32-array entropy": (lambda: _pcg(np.array([7, 0, 2**31, 5, 1], dtype=np.uint32)),
+                             True),
+    # SeedSequence parses the string; _children leaves the parent to rng.spawn
+    '["17", 3] entropy': (lambda: _pcg(["17", 3]), False),
     "after spawns": (lambda: _spawned(np.random.default_rng(134), 7), True),
     "nested child": (lambda: np.random.default_rng(7).spawn(3)[2].spawn(2)[1], True),
     "MT19937": (lambda: np.random.Generator(np.random.MT19937(5)), False),
