@@ -52,6 +52,9 @@ covers:
 - rollout records, q_train and mc_train on the default generator, reward()
   and the plan records once more under the reward levels in ALT_REWARDS,
   labelled with them.
+- train on egt-multi's shape: a 100 x 100 map with 100 goals, 50 agents,
+  horizon 400, 20 and 120 iterative episodes (many counter-update slices
+  and wide claim steps per tick).
 
 Takes a few minutes on one core.
 """
@@ -445,6 +448,18 @@ def fingerprint_plans() -> None:
     print_plan_digests("20x20 pockets", instances)
 
 
+def fingerprint_multi_agent() -> None:
+    """train at the benchmark's 50-agent shape: table text and stats."""
+    grid = gen_map(100, 100, 0.2, None, 100, 11)
+    world = WorldConfig(n_agents=50, horizon=400)
+    for episodes in (20, 120):
+        _, table, stats = train(grid, world, EGTParams(episodes=episodes), RewardConfig(),
+                                np.random.default_rng([11, 1]))
+        print(f"train 100x100 N=50 episodes={episodes}: table {digest(table.to_text())} "
+              f"episodes {stats.episodes_run} updates {stats.policy_updates} "
+              f"reached {stats.goal_reach_count} defined {table.n_defined()}")
+
+
 def main() -> None:
     rewards = RewardConfig()
     fingerprint_plans()
@@ -491,6 +506,7 @@ def main() -> None:
     data, summary = run_sweep(sweep_from_config(base, "n_agents"), base)
     print(f"agent_sweep data {digest(data)} summary {digest(summary)}")
     print(summary, end="")
+    fingerprint_multi_agent()
 
 
 if __name__ == "__main__":

@@ -371,6 +371,14 @@ class _Episodes:
         return _stretches(self.steps, np.abs(f % width - c % width) + np.abs(f // width - c // width))
 
 
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in the sorted array s."""
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return first
+
+
 def _draw_batch(grid: GridMap, world: WorldConfig, B: int, children: Iterable[np.random.Generator],
                 p_new: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw B episodes, one per child generator, by gridworld._episode_draws.
@@ -414,20 +422,23 @@ def _run_episodes(
     block that _draw_batch returns. cdfs stacks the CDF rows of K behavior
     policies, shape (K, n_cells, 5), and pair p acts by policy index[p].
     Every live (episode, agent) pair advances one tick at a time under
-    gridworld._play's tick rule, restated over arrays.
+    gridworld._play's tick rule, restated over arrays, and samples its action
+    by Policy._sample_id's rule: the count of its CDF row's first four entries
+    below its uniform. The live pairs' cells, agent indices and policy rows
+    are kept as compact arrays, filtered only on a tick where a pair arrives.
     """
     T = world.horizon
     N = world.n_agents
     noise = world.action_noise
     P = len(first)
     B = P // N
-    # an impermissible move targets the agent's own cell
-    _, target = grid._perm_target
+    # an impermissible move targets the agent's own cell; action a's target
+    # from cell c is target[c * 5 + a]
+    target = grid._perm_target[1].reshape(-1)
     padded, counts = grid._perm_choices
     goal = grid._goal_mask
-    # pair p's behavior row for cell c is cdf4[row[p] + c]
-    cdf4 = cdfs.reshape(-1, N_ACTIONS)[:, :4]
-    row = index * grid.n_cells
+    # pair p's behavior row for cell c is column j's entry row[p] + c
+    cols = np.ascontiguousarray(cdfs.reshape(-1, N_ACTIONS)[:, :4].T)
     U = draws[0]
     if noise > 0.0:
         UN, UP = draws[1], draws[2]
@@ -437,18 +448,26 @@ def _run_episodes(
     A = np.zeros((P, T), dtype=np.int8)
     arrival = np.full(P, T, dtype=np.int64)
     live = np.flatnonzero(~goal[cells])
+    # per live pair: its cell and its policy's first row
+    c = first[live]
+    row = index[live] * grid.n_cells
     if N > 1:
         # owner[b * n_cells + cell]: index of the agent on that cell, or -1
-        agent = np.tile(np.arange(N), B)
-        offset = np.repeat(np.arange(B) * grid.n_cells, N)
         owner = np.full(B * grid.n_cells, -1, dtype=np.int32)
-        owner[offset + first] = agent
+        owner[np.arange(B).repeat(N) * grid.n_cells + first] = np.tile(np.arange(N), B)
+        # per live pair: its agent index and its episode's owner offset
+        i = live % N
+        off = live // N * grid.n_cells
     for t in range(T):
         if live.size == 0:
             break
-        c = cells[live]
         u = U[t, live]
-        a = (cdf4[row[live] + c] < u[:, None]).sum(axis=1)
+        r = row + c
+        # astype: a sum of bool arrays would OR them
+        a = (cols[0][r] < u).astype(np.int64)
+        a += cols[1][r] < u
+        a += cols[2][r] < u
+        a += cols[3][r] < u
         if noise > 0.0:
             fire = UN[t, live] < noise
             if fire.any():
@@ -457,26 +476,28 @@ def _run_episodes(
                 a[fire] = padded[cf, k]
         S[live, t] = c
         A[live, t] = a
-        tgt = target[c, a]
+        tgt = target[c * N_ACTIONS + a]
         if N > 1:
-            i = agent[live]
-            off = offset[live]
             dest = off + tgt
             occ = owner[dest]
             # eligible: a move into an empty cell or one held by a lower-index
             # agent (a Stay or impermissible move targets the agent's own cell,
-            # held by itself); only the lowest eligible claimant can enter
-            elig = np.flatnonzero(occ < i)
-            _, lowest = np.unique(dest[elig], return_index=True)
-            win = elig[lowest]
+            # held by itself); only the lowest eligible claimant can enter:
+            # the stable sort keeps claimants of one cell in index order
+            # (nonzero()[0]: flatnonzero's Python wrapper outcosts it here)
+            elig = (occ < i).nonzero()[0]
+            d = dest[elig]
+            by_dest = np.argsort(d, kind="stable")
+            win = elig[by_dest[_run_starts(d[by_dest])]]
             go = occ[win] < 0
             # a held target frees up only if its occupant moves; occupants
             # have lower indices, so this settles within N rounds
-            wait = np.flatnonzero(~go)
+            wait = (~go).nonzero()[0]
             if wait.size:
                 moved = np.zeros(P, dtype=bool)
                 moved[live[win[go]]] = True
-                dep = live[win[wait]] - i[win[wait]] + occ[win[wait]]
+                held = win[wait]
+                dep = live[held] - i[held] + occ[held]
                 while wait.size:
                     hit = moved[dep]
                     if not hit.any():
@@ -488,12 +509,18 @@ def _run_episodes(
             owner[off[mv] + c[mv]] = -1
             owner[dest[mv]] = i[mv]
             c[mv] = tgt[mv]
-            tgt = c
-        cells[live] = tgt
-        arrived = goal[tgt]
+        else:
+            c = tgt
+        arrived = goal[c]
         if arrived.any():
-            arrival[live[arrived]] = t
-            live = live[~arrived]
+            done = live[arrived]
+            arrival[done] = t
+            cells[done] = c[arrived]
+            stay = ~arrived
+            live, c, row = live[stay], c[stay], row[stay]
+            if N > 1:
+                i, off = i[stay], off[stay]
+    cells[live] = c
     # a pair records every tick until it arrives; one that starts on a goal records none
     steps = np.where(goal[first], 0, np.minimum(arrival + 1, T))
     return _Episodes(first, cells, steps, arrival, S, A)
@@ -562,8 +589,9 @@ def _submit(
         j = moved[lo:lo + rows]
         L = ep.steps[j]
         keys = (ep.S[j] * N_ACTIONS + ep.A[j])[np.arange(T) < L[:, None]]
-        # (trajectory, cell * 5 + action), each distinct one once
-        tk = np.unique(np.repeat(np.arange(len(j)) * K, L) + keys)
+        # (trajectory, cell * 5 + action) keys, sorted, each distinct one once
+        tk = np.sort(np.repeat(np.arange(len(j)) * K, L) + keys)
+        tk = tk[_run_starts(tk)]
         t, key = np.divmod(tk, K)
         np.add.at(values, key, delta[j][t])
         defined[key] = True

@@ -650,6 +650,27 @@ def test_multi_agent_path_matches_reference_loop():
         assert got == ref
 
 
+def test_submit_matches_reference_across_slices(monkeypatch):
+    # a slice of 1, 3 or 7 trajectories: every pair moved, in many slices and
+    # a short last one, each trajectory's distinct (cell, action) pairs once
+    grid = parse_map(WALLED)
+    world = WorldConfig(n_agents=4, horizon=30, action_noise=0.3)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(egt, "_SUBMIT_CELLS", rows * world.horizon)
+        got, ref = _kernel_vs_reference(grid, world, 100, 3)
+        assert got == ref, f"{rows} rows per slice"
+        # every moved pair reached a goal or ran long, so it touched a pair
+        moved = got[1][1]
+        assert moved > rows
+    assert moved % rows != 0
+    # an empty accepted trajectory has no ticks: it is moved, in a slice of
+    # no columns, and touches nothing
+    table = CounterTable(grid)
+    assert apply_update(table, Trajectory([], (2, 2), True), EGTParams(), AlwaysAccept()) \
+        == (False, 0)
+    assert table.n_defined() == 0
+
+
 def test_kernel_matches_reference_on_crowded_fuzzed_maps():
     # small boards packed with up to 16 agents under skewed random behaviors,
     # so chains of moves, swaps and frozen blockers all occur
